@@ -8,7 +8,10 @@ products with an empty middle dimension are zero matrices).
 The solver lifts a system over Z/m to the integers and runs Smith normal
 form there.  A system over Z/m[e] is handled by splitting x = x0 + e*x1
 and solving the doubled block system  [[A0, 0], [A1, A0]] [x0; x1] = [b0; b1]
-over Z/m, which is an exact translation of the original problem.
+over Z/m, which is an exact translation of the original problem.  The
+diagonal S stays an exact integer matrix because the pivot choice reads
+it; the unimodular factors U and V are only accumulated, so they are
+carried mod m and their entries stay below m.
 """
 
 from __future__ import annotations
@@ -99,10 +102,6 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> RingElem:
         return self.entries[i * self.cols + j]
-
-    def row_list(self) -> list[list[RingElem]]:
-        return [list(self.entries[i * self.cols:(i + 1) * self.cols])
-                for i in range(self.rows)]
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -297,25 +296,41 @@ def det_int(a: Sequence[Sequence[int]]) -> int:
 
 def smith_normal_form(
     a: Sequence[Sequence[int]],
+    modulus: Optional[int] = None,
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Return (U, S, V) with U*a*V = S, U and V unimodular, S diagonal and
     each diagonal entry dividing the next.
 
     Classic pivoting algorithm: move a minimal-magnitude entry to the
     pivot, kill its row and column by Euclidean steps, then absorb any
-    entry the pivot does not divide and repeat.  Small matrices only, but
-    entries are arbitrary-precision so nothing overflows.
+    entry the pivot does not divide and repeat.  Entries are
+    arbitrary-precision so nothing overflows.
+
+    With a modulus, U and V are carried reduced mod modulus (entries in
+    [0, modulus)) and U*a*V = S holds mod modulus.  S itself always stays
+    exact: the pivot choice, the quotients and the divisibility test read
+    it, while U and V are only accumulated.  So the result is the integer
+    factorisation with U and V reduced, but without the coefficient growth
+    of the integer factors, which reach hundreds of thousands of bits on
+    lifts of a few dozen rows.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     s = [list(r) for r in a]
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    # V is kept transposed, so its column operations are row operations
+    vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
-    def row_sub(mat, i, t, q):
+    def row_sub(mat, i, t, q, mod=None):
+        # row_i -= q * row_t, reduced mod `mod` when one is given
         mi, mt = mat[i], mat[t]
-        for j in range(len(mi)):
-            mi[j] -= q * mt[j]
+        if mod is None:
+            for j in range(len(mi)):
+                mi[j] -= q * mt[j]
+        elif q % mod:
+            q %= mod
+            for j in range(len(mi)):
+                mi[j] = (mi[j] - q * mt[j]) % mod
 
     def col_sub(mat, j, t, q):
         for r in mat:
@@ -343,31 +358,32 @@ def smith_normal_form(
             u[pi], u[t] = u[t], u[pi]
         if pj != t:
             col_swap(s, pj, t)
-            col_swap(v, pj, t)
+            vt[pj], vt[t] = vt[t], vt[pj]
 
         while True:
-            moved = False
-            for i in range(rows):
+            i = 0
+            while i < rows:
                 if i != t and s[i][t]:
                     q = s[i][t] // s[t][t]
                     row_sub(s, i, t, q)
-                    row_sub(u, i, t, q)
+                    row_sub(u, i, t, q, modulus)
                     if s[i][t]:
                         # remainder is smaller than the pivot: promote it
+                        # and go on at row i, which now holds the old pivot
+                        # row; the rows before it are already clear
                         s[i], s[t] = s[t], s[i]
                         u[i], u[t] = u[t], u[i]
-                        moved = True
-                        break
-            if moved:
-                continue
+                        continue
+                i += 1
+            moved = False
             for j in range(cols):
                 if j != t and s[t][j]:
                     q = s[t][j] // s[t][t]
                     col_sub(s, j, t, q)
-                    col_sub(v, j, t, q)
+                    row_sub(vt, j, t, q, modulus)
                     if s[t][j]:
                         col_swap(s, j, t)
-                        col_swap(v, j, t)
+                        vt[j], vt[t] = vt[t], vt[j]
                         moved = True
                         break
             if not moved:
@@ -379,7 +395,7 @@ def smith_normal_form(
         for i in range(t + 1, rows):
             if any(s[i][j] % p for j in range(t + 1, cols)):
                 row_sub(s, t, i, -1)   # row_t += row_i
-                row_sub(u, t, i, -1)
+                row_sub(u, t, i, -1, modulus)
                 dirty = True
                 break
         if dirty:
@@ -390,8 +406,8 @@ def smith_normal_form(
         if s[i][i] < 0:
             for j in range(cols):
                 s[i][j] = -s[i][j]
-            for j in range(rows):
-                u[i][j] = -u[i][j]
+            row_sub(u, i, i, 2, modulus)   # row_i = -row_i
+    v = [list(col) for col in zip(*vt)]
     return u, s, v
 
 
@@ -419,6 +435,11 @@ class LinearSolver:
     diagonal equation s_i y_i = c_i (mod m) is solvable iff gcd(s_i, m)
     divides c_i and then has exactly gcd(s_i, m) solutions; rows past the
     diagonal need c_i = 0, and columns past it are free (factor m each).
+
+    Only U mod m, V mod m and the diagonal mod m are read, so the SNF runs
+    with its factors reduced mod m and every integer kept here lies in
+    [0, m).  S itself is factored exactly, which fixes the pivots and so
+    the witnesses and the samples drawn.
     """
 
     def __init__(self, mat: Matrix):
@@ -442,7 +463,7 @@ class LinearSolver:
             lift = [[mat.entry(i, j).a for j in range(c)] for i in range(r)]
             self._n_eq, self._n_var = r, c
         if self._n_eq:
-            u, s, v = smith_normal_form(lift)
+            u, s, v = smith_normal_form(lift, m)
         else:
             # no equations at all: every assignment works; U*A*V with an
             # empty U/S and V the identity keeps the bookkeeping uniform
@@ -451,11 +472,17 @@ class LinearSolver:
                  for i in range(self._n_var)]
         self._u, self._v = u, v
         k = min(self._n_eq, self._n_var)
-        self._diag = [s[i][i] for i in range(k)]
+        # s_i mod m keeps gcd(s_i, m) and (s_i / g) mod (m / g) exact
+        self._diag = [s[i][i] % m for i in range(k)]
         self._gs = [gcd(d, m) for d in self._diag]
         # one gcd per equation row: rows past the diagonal demand c_i = 0
         self._row_gs = self._gs + [m] * (self._n_eq - k)
         self.kernel_count = prod(self._gs, start=1) * m ** (self._n_var - k)
+
+    @property
+    def image_count(self) -> int:
+        """Exact size of the image, via |domain| = kernel * image."""
+        return self.ring.cardinality ** self.mat.cols // self.kernel_count
 
     # -- plumbing ----------------------------------------------------------
 
@@ -564,4 +591,4 @@ def kernel_count(mat: Matrix) -> int:
 
 def image_count(mat: Matrix) -> int:
     """Exact size of the image of A, via |domain| = kernel * image."""
-    return mat.ring.cardinality ** mat.cols // LinearSolver(mat).kernel_count
+    return LinearSolver(mat).image_count

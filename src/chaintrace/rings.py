@@ -162,12 +162,11 @@ class RingElem:
         return gcd(self.a, self.ring.modulus) == 1
 
     def inverse(self) -> "RingElem":
-        """Multiplicative inverse, found by exhaustive search (rings are tiny)."""
-        one = self.ring.one()
-        for y in self.ring.elements():
-            if self * y == one:
-                return y
-        raise ValueError(f"{self} is not a unit in {self.ring}")
+        """Multiplicative inverse: (a + b*e)^-1 = a^-1 - b*a^-2 * e."""
+        if not self.is_unit():
+            raise ValueError(f"{self} is not a unit in {self.ring}")
+        inv = pow(self.a, -1, self.ring.modulus)
+        return RingElem(self.ring, inv, -self.b * inv * inv)
 
     @property
     def index(self) -> int:

@@ -35,7 +35,7 @@ from .complexes import (
     _union_window,
 )
 from .homotopy import Homotopy, NullHomotopyProblem, graded_trace
-from .linalg import LinearSolver, Matrix, image_count, kernel_count
+from .linalg import LinearSolver, Matrix
 from .rings import RingElem
 
 
@@ -103,14 +103,15 @@ def validate_ses(ses: ShortExactSequence) -> Validation:
                               f"ranks at degree {n} do not add up")
     card = ses.ring.cardinality
     for n in range(lo, hi + 1):
-        j, q = ses.inclusion.comp(n), ses.projection.comp(n)
-        if kernel_count(j) != 1:
+        j = LinearSolver(ses.inclusion.comp(n))
+        if j.kernel_count != 1:
             return Validation(False, "exact", n,
                               f"inclusion has a kernel at degree {n}")
-        if image_count(q) != card ** ses.quotient.rank(n):
+        q = LinearSolver(ses.projection.comp(n))
+        if q.image_count != card ** ses.quotient.rank(n):
             return Validation(False, "exact", n,
                               f"projection not onto at degree {n}")
-        if image_count(j) != kernel_count(q):
+        if j.image_count != q.kernel_count:
             return Validation(False, "exact", n,
                               f"image of inclusion differs from kernel of "
                               f"projection at degree {n}")

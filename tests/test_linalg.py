@@ -21,6 +21,10 @@ Z7 = RingSpec(7)
 Z2E = RingSpec(2, True)
 Z3E = RingSpec(3, True)
 Z5E = RingSpec(5, True)
+Z6 = RingSpec(6)
+Z9 = RingSpec(9)
+Z4E = RingSpec(4, True)
+Z9E = RingSpec(9, True)
 
 
 def M(ring, rows):
@@ -172,6 +176,71 @@ def test_snf_random():
         cols = rng.randrange(1, 6)
         a = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
         _check_snf(a)
+
+
+# -- Smith factors carried mod m -----------------------------------------------
+
+
+def _int_lift(rng, m, rows, cols, eps):
+    """Random integer lift of a Z/m system, or the doubled [[A0, 0], [A1, A0]]
+    lift of a Z/m[e] system."""
+    a0 = [[rng.randrange(m) for _ in range(cols)] for _ in range(rows)]
+    if not eps:
+        return a0
+    a1 = [[rng.randrange(m) for _ in range(cols)] for _ in range(rows)]
+    return [r0 + [0] * cols for r0 in a0] + \
+        [r1 + r0 for r0, r1 in zip(a0, a1)]
+
+
+def _with_degenerate_variants(a):
+    yield a
+    yield [[0] * len(a[0])] + a[1:]                      # zero row
+    yield [[0] + r[1:] for r in a]                       # zero column
+    yield a + [[x + y for x, y in zip(a[0], a[-1])]]     # rank-deficient
+
+
+def _check_reduced_snf(a, m):
+    """smith_normal_form(a, m) against the integer oracle; returns the
+    largest bit-length of the integer factors."""
+    u, s, v = smith_normal_form(a)
+    ur, sr, vr = smith_normal_form(a, m)
+    assert sr == s
+    assert ur == [[x % m for x in row] for row in u]
+    assert vr == [[x % m for x in row] for row in v]
+    return max((abs(x).bit_length() for f in (u, v) for row in f for x in row),
+               default=0)
+
+
+def test_reduced_factors_match_integer_factors():
+    rng = random.Random(23)
+    for m in (4, 6, 9):
+        for eps in (False, True):
+            for _ in range(10):
+                a = _int_lift(rng, m, rng.randrange(1, 5), rng.randrange(1, 5),
+                              eps)
+                for b in _with_degenerate_variants(a):
+                    _check_reduced_snf(b, m)
+        _check_reduced_snf([], m)
+        _check_reduced_snf([[], []], m)
+    # a doubled 16x16 Z/4[e] lift: the integer factors pass 1,000 bits
+    big = _int_lift(random.Random(0), 4, 16, 16, True)
+    assert _check_reduced_snf(big, 4) > 1000
+
+
+def test_solver_keeps_entries_below_modulus():
+    rng = random.Random(8)
+    cases = [random_matrix(rng, ring, rng.randrange(0, 5), rng.randrange(0, 5))
+             for ring in (Z4, Z6, Z9, Z4E, Z9E) for _ in range(10)]
+    cases.append(random_matrix(rng, Z4E, 16, 16))
+    for a in cases:
+        solver = LinearSolver(a)
+        m = a.ring.modulus
+        kept = [x for row in solver._u + solver._v for x in row] + solver._diag
+        assert all(0 <= x < m for x in kept)
+        x = [a.ring.from_index(rng.randrange(a.ring.cardinality))
+             for _ in range(a.cols)]
+        b = a.apply(x)
+        assert a.apply(list(solver.solve(b).witness)) == b
 
 
 def test_bareiss_det_known():

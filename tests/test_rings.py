@@ -95,6 +95,17 @@ def test_unit_with_nilpotent_part():
     assert not Z3E.element(0, 1).is_unit()
 
 
+def test_inverse_in_large_ring():
+    """Z/10007[e] has 10^8 elements: the inverse must not scan them."""
+    ring = RingSpec(10007, True)
+    one = ring.one()
+    for a, b in ((1, 0), (2, 1), (10006, 5000), (1234, 9999), (5, 0)):
+        x = ring.element(a, b)
+        assert x * x.inverse() == one
+    with pytest.raises(ValueError, match="is not a unit in Z/10007"):
+        ring.element(0, 7).inverse()
+
+
 def test_is_reduced():
     assert Z5.is_reduced()
     assert Z6.is_reduced()
