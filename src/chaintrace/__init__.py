@@ -16,6 +16,7 @@ re-derives any hit from scratch.
 from .complexes import (
     ChainMap,
     ChainMapSpace,
+    HomComplex,
     Homotopy,
     PerfectComplex,
     Validation,
@@ -107,6 +108,7 @@ __all__ = [
     "Document",
     "EndoTriple",
     "GradedLine",
+    "HomComplex",
     "Homotopy",
     "LinearSolver",
     "Matrix",

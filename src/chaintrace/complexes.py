@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .linalg import LinearSolver, Matrix, ShapeError
 from .rings import RingElem, RingSpec
@@ -367,87 +367,116 @@ def mapping_cone(f: ChainMap) -> PerfectComplex:
 
 
 # ---------------------------------------------------------------------------
-# The space of chain maps between two fixed complexes
+# The Hom complex between two fixed complexes, and the chain maps in it
 # ---------------------------------------------------------------------------
 
 
-def _flatten_blocks(mats: Sequence[Matrix]) -> list[RingElem]:
-    out: list[RingElem] = []
-    for m in mats:
-        out.extend(m.entries)
-    return out
+def _hom_slots(source: PerfectComplex, target: PerfectComplex,
+               k: int) -> list[tuple[int, int, int]]:
+    """(n, rows, cols) for every nonzero block source^n -> target^(n+k),
+    in ascending degree: the layout of a degree-k element of Hom."""
+    slots = []
+    for n in source.degrees():
+        r, c = target.rank(n + k), source.rank(n)
+        if r * c:
+            slots.append((n, r, c))
+    return slots
 
 
-class ChainMapSpace:
-    """All chain maps source -> target, as the kernel of one linear system.
+class HomComplex:
+    """Degree k of Hom(source, target) and its differential, as one
+    linear system: D(X)^n = d_tgt X^n - (-1)^k X^(n+1) d_src.
 
-    Unknowns are the entries of every component f^n, ordered by degree and
-    then row-major; equations say d f^n - f^(n+1) d = 0 degree by degree.
-    Exposes exact counting, deterministic enumeration and uniform sampling,
-    all through the shared SNF solver.
+    Unknowns are the entries of every block X^n : source^n -> target^(n+k)
+    (`var_slots`, degree order, then row-major); equations are the
+    entries of D(X), laid out the same way at degree k+1 (`eq_slots`).
+    Cycles of D are chain maps at k = 0 and extension twists at k = 1;
+    at k = -1 the image of D is the null-homotopic maps.  Counting,
+    enumeration, sampling and solving all go through one SNF solver.
     """
 
-    def __init__(self, source: PerfectComplex, target: PerfectComplex):
+    def __init__(self, source: PerfectComplex, target: PerfectComplex,
+                 k: int):
         if source.ring != target.ring:
-            raise ValueError("chain maps need a common ring")
+            raise ValueError("Hom needs a common ring")
         self.source, self.target = source, target
         ring = source.ring
-        lo, hi = _union_window(source, target)
-        self.var_slots: list[tuple[int, int, int]] = []
+        self.var_slots = _hom_slots(source, target, k)
+        self.eq_slots = _hom_slots(source, target, k + 1)
         offsets: dict[int, int] = {}
         pos = 0
-        for n in range(lo, hi + 1):
-            r, c = target.rank(n), source.rank(n)
-            if r * c:
-                self.var_slots.append((n, r, c))
-                offsets[n] = pos
-                pos += r * c
+        for n, r, c in self.var_slots:
+            offsets[n] = pos
+            pos += r * c
         self.n_vars = pos
         rows: list[list[RingElem]] = []
         zero = ring.zero()
-        for n in range(lo, hi + 1):
-            dt, ds = target.diff(n), source.diff(n)
-            er, ec = target.rank(n + 1), source.rank(n)
-            if er * ec == 0:
-                continue
+        odd = k % 2
+        for n, er, ec in self.eq_slots:
+            dt, ds = target.diff(n + k), source.diff(n)
             for i in range(er):
                 for j in range(ec):
                     row = [zero] * pos
-                    if n in offsets:                       # d_tgt^n f^n term
+                    if n in offsets:                   # d_tgt X^n
                         base = offsets[n]
-                        for k in range(target.rank(n)):
-                            row[base + k * ec + j] = dt.entry(i, k)
-                    if n + 1 in offsets:                   # -f^(n+1) d_src^n
+                        for l in range(target.rank(n + k)):
+                            row[base + l * ec + j] = dt.entry(i, l)
+                    if n + 1 in offsets:               # -(-1)^k X^(n+1) d_src
                         base = offsets[n + 1]
                         cs = source.rank(n + 1)
-                        for k in range(cs):
-                            idx = base + i * cs + k
-                            row[idx] = row[idx] - ds.entry(k, j)
+                        for l in range(cs):
+                            x = ds.entry(l, j)
+                            row[base + i * cs + l] = x if odd else -x
                     rows.append(row)
         mat = (Matrix.from_rows(ring, rows) if rows
                else Matrix.zero(ring, 0, pos))
         self.solver = LinearSolver(mat)
-        self._zero_rhs = [ring.zero()] * mat.rows
+        self._zero_rhs = [zero] * mat.rows
 
     @property
     def count(self) -> int:
-        """Exact number of chain maps source -> target."""
+        """Exact number of cycles: degree-k elements X with D(X) = 0."""
         return self.solver.kernel_count
 
-    def to_map(self, vec: Sequence[RingElem]) -> ChainMap:
-        comps = {}
+    def flatten(self, block: Callable[[int], Matrix]) -> list[RingElem]:
+        """A right-hand side for D, given its block at each degree n of
+        `eq_slots` (an n -> matrix function), in equation order."""
+        out: list[RingElem] = []
+        for n, _, _ in self.eq_slots:
+            out.extend(block(n).entries)
+        return out
+
+    def to_blocks(self, vec: Sequence[RingElem]) -> dict[int, Matrix]:
+        """Split a solution vector into its blocks {n: X^n}."""
+        out = {}
         pos = 0
         for n, r, c in self.var_slots:
-            comps[n] = Matrix(self.source.ring, r, c,
-                              tuple(vec[pos:pos + r * c]))
+            out[n] = Matrix(self.source.ring, r, c,
+                            tuple(vec[pos:pos + r * c]))
             pos += r * c
-        return ChainMap.build(self.source, self.target, comps)
+        return out
 
-    def iter_all(self) -> Iterator[ChainMap]:
+    def iter_cycles(self) -> Iterator[dict[int, Matrix]]:
         for vec in self.solver.iter_solutions(self._zero_rhs):
-            yield self.to_map(vec)
+            yield self.to_blocks(vec)
 
-    def sample(self, rng: Random) -> ChainMap:
+    def sample_cycle(self, rng: Random) -> dict[int, Matrix]:
         vec = self.solver.sample_solution(self._zero_rhs, rng)
         assert vec is not None  # homogeneous systems always have 0
-        return self.to_map(vec)
+        return self.to_blocks(vec)
+
+
+class ChainMapSpace(HomComplex):
+    """All chain maps source -> target: the cycles of Hom(source, target)
+    in degree 0, returned as ChainMap objects."""
+
+    def __init__(self, source: PerfectComplex, target: PerfectComplex):
+        super().__init__(source, target, 0)
+
+    def iter_all(self) -> Iterator[ChainMap]:
+        for blocks in self.iter_cycles():
+            yield ChainMap.build(self.source, self.target, blocks)
+
+    def sample(self, rng: Random) -> ChainMap:
+        return ChainMap.build(self.source, self.target,
+                              self.sample_cycle(rng))

@@ -12,7 +12,14 @@ from __future__ import annotations
 from random import Random
 from typing import Optional
 
-from .complexes import ChainMap, ChainMapSpace, Homotopy, PerfectComplex
+from .complexes import (
+    ChainMap,
+    ChainMapSpace,
+    HomComplex,
+    Homotopy,
+    PerfectComplex,
+    _hom_slots,
+)
 from .detline import NotAutomorphismError, det_of_automorphism
 from .linalg import LinearSolver, Matrix
 from .rings import RingElem, RingSpec
@@ -80,12 +87,8 @@ def random_chain_endo(rng: Random, k: PerfectComplex) -> ChainMap:
 def random_homotopy(rng: Random, source: PerfectComplex,
                     target: PerfectComplex) -> Homotopy:
     """Uniform degree -1 map; components are unconstrained."""
-    comps = {}
-    for n in range(min(source.lo, target.lo),
-                   max(source.hi, target.hi) + 2):
-        r, c = target.rank(n - 1), source.rank(n)
-        if r * c:
-            comps[n] = random_matrix(rng, source.ring, r, c)
+    comps = {n: random_matrix(rng, source.ring, r, c)
+             for n, r, c in _hom_slots(source, target, -1)}
     return Homotopy.build(source, target, comps)
 
 
@@ -108,91 +111,38 @@ def random_extension(rng: Random, ring: RingSpec, *, max_window: int,
 # ---------------------------------------------------------------------------
 
 
-class DiagonalFillerSystem:
+class DiagonalFillerSystem(HomComplex):
     """Solve for the off-diagonal block that makes a block-triangular
     endomorphism of an extension into a chain map.
 
     For fixed sub and quotient complexes, an endo pair (u on sub, w on
     quotient) extends to v = [[u, t], [0, w]] on the twisted sum exactly
-    when  d_sub t - t d_quo = u twist - twist w  degree by degree; the
-    unknown block t is linear in that equation, with coefficient matrix
-    depending only on the two differentials.  Factor once, fill many.
+    when  d_sub t - t d_quo = u twist - twist w  degree by degree: t is
+    a D-preimage in degree 0 of Hom(quotient, sub), whose coefficient
+    matrix depends only on the two differentials.  Factor once, fill many.
     """
 
     def __init__(self, sub: PerfectComplex, quotient: PerfectComplex):
-        if sub.ring != quotient.ring:
-            raise ValueError("extension pieces need a common ring")
+        super().__init__(quotient, sub, 0)
         self.sub, self.quotient = sub, quotient
-        ring = sub.ring
-        lo = min(sub.lo, quotient.lo)
-        hi = max(sub.hi, quotient.hi)
-        self._lo, self._hi = lo, hi
-        self.var_slots: list[tuple[int, int, int]] = []
-        offsets: dict[int, int] = {}
-        pos = 0
-        for n in range(lo, hi + 1):
-            r, c = sub.rank(n), quotient.rank(n)
-            if r * c:
-                self.var_slots.append((n, r, c))
-                offsets[n] = pos
-                pos += r * c
-        self.n_vars = pos
-        self.eq_slots: list[tuple[int, int, int]] = []
-        rows: list[list[RingElem]] = []
-        zero = ring.zero()
-        for n in range(lo, hi + 1):
-            er, ec = sub.rank(n + 1), quotient.rank(n)
-            if er * ec == 0:
-                continue
-            self.eq_slots.append((n, er, ec))
-            ds, dq = sub.diff(n), quotient.diff(n)
-            for i in range(er):
-                for j in range(ec):
-                    row = [zero] * pos
-                    if n in offsets:                 # d_sub^n t^n
-                        base = offsets[n]
-                        for k in range(sub.rank(n)):
-                            row[base + k * ec + j] = ds.entry(i, k)
-                    if n + 1 in offsets:             # - t^(n+1) d_quo^n
-                        base = offsets[n + 1]
-                        cs = self.quotient.rank(n + 1)
-                        for k in range(cs):
-                            idx = base + i * cs + k
-                            row[idx] = row[idx] - dq.entry(k, j)
-                    rows.append(row)
-        mat = (Matrix.from_rows(ring, rows) if rows
-               else Matrix.zero(ring, 0, pos))
-        self.solver = LinearSolver(mat)
-
-    def _rhs(self, twist: dict[int, Matrix], u: ChainMap,
-             w: ChainMap) -> list[RingElem]:
-        ring = self.sub.ring
-        out: list[RingElem] = []
-        for n, er, ec in self.eq_slots:
-            t_n = twist.get(n, Matrix.zero(ring, er, ec))
-            rhs = u.comp(n + 1) @ t_n - t_n @ w.comp(n)
-            out.extend(rhs.entries)
-        return out
 
     def fill(self, twist: dict[int, Matrix], u: ChainMap, w: ChainMap,
              rng: Optional[Random] = None) -> Optional[dict[int, Matrix]]:
         """The off-diagonal block as {degree: matrix}, or None when the
         pair (u, w) admits no strict extension over this twist.  With an
         rng, the filler is drawn uniformly from all of them."""
-        b = self._rhs(twist, u, w)
+        def rhs(n: int) -> Matrix:
+            t_n = twist.get(n, Matrix.zero(self.sub.ring, self.sub.rank(n + 1),
+                                           self.quotient.rank(n)))
+            return u.comp(n + 1) @ t_n - t_n @ w.comp(n)
+
+        b = self.flatten(rhs)
         if rng is None:
             rep = self.solver.solve(b)
             vec = rep.witness if rep.solvable else None
         else:
             vec = self.solver.sample_solution(b, rng)
-        if vec is None:
-            return None
-        out = {}
-        pos = 0
-        for n, r, c in self.var_slots:
-            out[n] = Matrix(self.sub.ring, r, c, tuple(vec[pos:pos + r * c]))
-            pos += r * c
-        return out
+        return None if vec is None else self.to_blocks(vec)
 
 
 def assemble_block_endo(ses: ShortExactSequence, u: ChainMap, w: ChainMap,

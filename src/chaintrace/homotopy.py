@@ -5,19 +5,18 @@ is invariant under homotopy perturbation: adding d h + h d never moves
 it, which the telescoping of Tr(d h) against Tr(h d) makes exact here,
 not just up to something negligible.
 
-Whether a chain map f is null-homotopic is one linear question: assemble
-f^n = d h^n + h^(n+1) d over all degrees as a single system in the
-entries of h and hand it to the SNF solver.  `NullHomotopyProblem`
-factors that system once per (source, target) pair so searches can test
-many maps cheaply; `find_null_homotopy` is the one-shot wrapper.
+Whether a chain map f is null-homotopic is one linear question: is f in
+the image of the differential h -> d h + h d of the Hom complex in
+degree -1?  `NullHomotopyProblem` is that degree of `HomComplex`, whose
+one SNF factorisation per (source, target) pair lets searches test many
+maps cheaply; `find_null_homotopy` is the one-shot wrapper.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from .complexes import ChainMap, Homotopy, PerfectComplex, _union_window
-from .linalg import LinearSolver, Matrix
+from .complexes import ChainMap, HomComplex, Homotopy, PerfectComplex
 from .rings import RingElem
 
 
@@ -46,85 +45,26 @@ def perturb(f: ChainMap, h: Homotopy) -> ChainMap:
     return ChainMap.build(src, tgt, comps)
 
 
-class NullHomotopyProblem:
-    """The linear system 'f = d h + h d' for maps source -> target.
-
-    Unknowns are the entries of the homotopy components h^n, ordered by
-    degree then row-major; equations are the entries of d h^n + h^(n+1) d
-    in the same layout as `flatten_map`.  Built once, solved per map.
-    """
+class NullHomotopyProblem(HomComplex):
+    """The linear system 'f = d h + h d' for maps source -> target: degree
+    -1 of Hom(source, target), whose differential sends h to d h + h d.
+    Built once, solved per map."""
 
     def __init__(self, source: PerfectComplex, target: PerfectComplex):
-        if source.ring != target.ring:
-            raise ValueError("need a common ring")
-        self.source, self.target = source, target
-        ring = source.ring
-        lo, hi = _union_window(source, target)
-        self.var_slots: list[tuple[int, int, int]] = []
-        offsets: dict[int, int] = {}
-        pos = 0
-        for n in range(lo, hi + 2):
-            r, c = target.rank(n - 1), source.rank(n)
-            if r * c:
-                self.var_slots.append((n, r, c))
-                offsets[n] = pos
-                pos += r * c
-        self.n_vars = pos
-        self.eq_slots: list[tuple[int, int, int]] = []
-        rows: list[list[RingElem]] = []
-        zero = ring.zero()
-        for n in range(lo, hi + 1):
-            er, ec = target.rank(n), source.rank(n)
-            if er * ec == 0:
-                continue
-            self.eq_slots.append((n, er, ec))
-            dt = target.diff(n - 1)     # target^(n-1) -> target^n
-            ds = source.diff(n)         # source^n -> source^(n+1)
-            for i in range(er):
-                for j in range(ec):
-                    row = [zero] * pos
-                    if n in offsets:                     # d h^n term
-                        base = offsets[n]
-                        for k in range(target.rank(n - 1)):
-                            row[base + k * ec + j] = dt.entry(i, k)
-                    if n + 1 in offsets:                 # h^(n+1) d term
-                        base = offsets[n + 1]
-                        cs = source.rank(n + 1)
-                        for k in range(cs):
-                            idx = base + i * cs + k
-                            row[idx] = row[idx] + ds.entry(k, j)
-                    rows.append(row)
-        mat = (Matrix.from_rows(ring, rows) if rows
-               else Matrix.zero(ring, 0, pos))
-        self.solver = LinearSolver(mat)
-
-    def flatten_map(self, f: ChainMap) -> list[RingElem]:
-        """f's entries in equation order (degree, then row-major)."""
-        out: list[RingElem] = []
-        for n, _, _ in self.eq_slots:
-            out.extend(f.comp(n).entries)
-        return out
-
-    def _to_homotopy(self, vec: Sequence[RingElem]) -> Homotopy:
-        comps = {}
-        pos = 0
-        for n, r, c in self.var_slots:
-            comps[n] = Matrix(self.source.ring, r, c,
-                              tuple(vec[pos:pos + r * c]))
-            pos += r * c
-        return Homotopy.build(self.source, self.target, comps)
+        super().__init__(source, target, -1)
 
     def coset_key(self, f: ChainMap) -> tuple[int, ...]:
         """Complete invariant of f modulo maps of the form d h + h d: two
         maps get the same key exactly when their difference is one, so
         equality of keys decides 'homotopic' without solving twice."""
-        return self.solver.coset_key(self.flatten_map(f))
+        return self.solver.coset_key(self.flatten(f.comp))
 
     def solve_for(self, f: ChainMap) -> Optional[Homotopy]:
-        rep = self.solver.solve(self.flatten_map(f))
+        rep = self.solver.solve(self.flatten(f.comp))
         if not rep.solvable:
             return None
-        h = self._to_homotopy(rep.witness)
+        h = Homotopy.build(self.source, self.target,
+                           self.to_blocks(rep.witness))
         # soundness re-check: the witness must satisfy f = d h + h d exactly
         if perturb(ChainMap.zero(self.source, self.target), h) != f:
             raise RuntimeError("null-homotopy witness failed re-evaluation; "

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional
 
 from .complexes import (
     ChainMap,
+    HomComplex,
     PerfectComplex,
     Validation,
     _VALID,
-    _union_window,
 )
 from .homotopy import Homotopy, NullHomotopyProblem, graded_trace
 from .linalg import LinearSolver, Matrix
@@ -475,74 +475,17 @@ def extension_twist(ses: ShortExactSequence) -> dict[int, Matrix]:
     return out
 
 
-class CocycleSpace:
-    """All legal twists for make_extension(sub, quotient, ...).
-
-    Unknowns are the entries of every twist block (degree order, then
-    row-major); the compatibility equations cut out a submodule, handled
-    by the same SNF solver as every other linear question here.  Yields
-    plain {degree: matrix} dicts ready to feed to make_extension.
+class CocycleSpace(HomComplex):
+    """All legal twists for make_extension(sub, quotient, ...): the cycles
+    of Hom(quotient, sub) in degree +1, where D(t) = d_sub t + t d_quo.
+    Yields plain {degree: matrix} dicts ready to feed to make_extension.
     """
 
     def __init__(self, sub: PerfectComplex, quotient: PerfectComplex):
-        if sub.ring != quotient.ring:
-            raise ValueError("twists need a common ring")
-        self.sub, self.quotient = sub, quotient
-        ring = sub.ring
-        lo, hi = _union_window(sub, quotient)
-        self.var_slots: list[tuple[int, int, int]] = []
-        offsets: dict[int, int] = {}
-        pos = 0
-        for n in range(lo - 1, hi + 1):
-            r, c = sub.rank(n + 1), quotient.rank(n)
-            if r * c:
-                self.var_slots.append((n, r, c))
-                offsets[n] = pos
-                pos += r * c
-        self.n_vars = pos
-        rows: list[list[RingElem]] = []
-        zero = ring.zero()
-        for n in range(lo - 1, hi + 1):
-            ds, dq = sub.diff(n + 1), quotient.diff(n)
-            er, ec = sub.rank(n + 2), quotient.rank(n)
-            if er * ec == 0:
-                continue
-            for i in range(er):
-                for j in range(ec):
-                    row = [zero] * pos
-                    if n in offsets:                 # d_sub^(n+1) twist^n
-                        base = offsets[n]
-                        for k in range(sub.rank(n + 1)):
-                            row[base + k * ec + j] = ds.entry(i, k)
-                    if n + 1 in offsets:             # twist^(n+1) d_quo^n
-                        base = offsets[n + 1]
-                        cs = quotient.rank(n + 1)
-                        for k in range(cs):
-                            idx = base + i * cs + k
-                            row[idx] = row[idx] + dq.entry(k, j)
-                    rows.append(row)
-        mat = (Matrix.from_rows(ring, rows) if rows
-               else Matrix.zero(ring, 0, pos))
-        self.solver = LinearSolver(mat)
-        self._zero_rhs = [ring.zero()] * mat.rows
-
-    @property
-    def count(self) -> int:
-        return self.solver.kernel_count
-
-    def to_twist(self, vec: Sequence[RingElem]) -> dict[int, Matrix]:
-        out = {}
-        pos = 0
-        for n, r, c in self.var_slots:
-            out[n] = Matrix(self.sub.ring, r, c, tuple(vec[pos:pos + r * c]))
-            pos += r * c
-        return out
+        super().__init__(quotient, sub, 1)
 
     def iter_all(self) -> Iterator[dict[int, Matrix]]:
-        for vec in self.solver.iter_solutions(self._zero_rhs):
-            yield self.to_twist(vec)
+        return self.iter_cycles()
 
     def sample(self, rng: Random) -> dict[int, Matrix]:
-        vec = self.solver.sample_solution(self._zero_rhs, rng)
-        assert vec is not None
-        return self.to_twist(vec)
+        return self.sample_cycle(rng)

@@ -6,6 +6,7 @@ import pytest
 from chaintrace.complexes import (
     ChainMap,
     ChainMapSpace,
+    HomComplex,
     Homotopy,
     PerfectComplex,
     direct_sum,
@@ -13,6 +14,7 @@ from chaintrace.complexes import (
     validate_chain_map,
     validate_complex,
 )
+from chaintrace.generate import random_complex
 from chaintrace.linalg import Matrix
 from chaintrace.rings import RingSpec
 
@@ -221,6 +223,63 @@ def test_chain_map_space_matches_brute_force():
             got = list(space.iter_all())
             assert space.count == len(expect) == len(got)
             assert set(got) == set(expect)
+
+
+def brute_hom_cycles(src, tgt, k):
+    """Oracle: every degree-k family X^n : src^n -> tgt^(n+k) with
+    d X^n = (-1)^k X^(n+1) d in every degree, as ((n, X^n), ...) tuples
+    over the degrees where the block is nonempty."""
+    ring = src.ring
+    degs = [n for n in src.degrees() if tgt.rank(n + k) * src.rank(n)]
+    shapes = [(tgt.rank(n + k), src.rank(n)) for n in degs]
+    pools = [list(itertools.product(ring.elements(), repeat=r * c))
+             for r, c in shapes]
+    found = set()
+    for combo in itertools.product(*pools):
+        x = {n: Matrix(ring, r, c, tuple(ent))
+             for n, (r, c), ent in zip(degs, shapes, combo)}
+
+        def block(n):
+            if n in x:
+                return x[n]
+            return Matrix.zero(ring, tgt.rank(n + k), src.rank(n))
+
+        for n in range(src.lo - 1, src.hi + 1):
+            lhs = tgt.diff(n + k) @ block(n)
+            rhs = block(n + 1) @ src.diff(n)
+            if lhs != (-rhs if k % 2 else rhs):
+                break
+        else:
+            found.add(tuple(x.items()))
+    return degs, found
+
+
+def test_hom_complex_cycles_are_chain_maps_into_shift():
+    """Z^k Hom(S, T) is the chain maps S -> T[k], because the shift puts
+    (-1)^k on d_T; on tiny instances both match enumeration map by map
+    (counts alone cannot see the sign: X^n -> (-1)^n X^n swaps the two
+    sign rules)."""
+    rng = random.Random(11)
+    brute, constrained = 0, 0
+    for ring in (Z4, RingSpec(2, True), Z3E):
+        for _ in range(30):
+            src, tgt = (random_complex(rng, ring, max_window=3, max_rank=2,
+                                       lo=rng.randint(0, 1))
+                        for _ in range(2))
+            for k in range(-2, 3):
+                hom = HomComplex(src, tgt, k)
+                shifted = ChainMapSpace(src, tgt.shift(k))
+                assert hom.count == shifted.count
+                if ring == Z4 and hom.n_vars <= 6:
+                    degs, expect = brute_hom_cycles(src, tgt, k)
+                    cycles = {tuple(x.items()) for x in hom.iter_cycles()}
+                    maps = {tuple((n, f.comp(n)) for n in degs)
+                            for f in shifted.iter_all()}
+                    assert hom.count == len(expect)
+                    assert cycles == maps == expect
+                    brute += 1
+                    constrained += hom.count < 4 ** hom.n_vars
+    assert brute >= 100 and constrained >= 10
 
 
 def test_homotopy_shapes():
