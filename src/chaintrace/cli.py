@@ -243,7 +243,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
                            ceiling=args.ceiling)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    log_handle = open(args.log, "w", encoding="utf-8") if args.log else None
+    try:
+        log_handle = (open(args.log, "w", encoding="utf-8") if args.log
+                      else None)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.log}: {exc}") from exc
     try:
         outcome = search_violation(
             cfg, log=(lambda line: print(line, file=log_handle))

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import (Callable, ClassVar, Iterator, Mapping, Optional,
+                    Sequence, TypeVar)
 
 from .linalg import LinearSolver, Matrix, ShapeError
 from .rings import RingElem, RingSpec
@@ -163,43 +164,53 @@ def direct_sum(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
     return PerfectComplex.build(a.ring, lo, ranks, diffs)
 
 
-def _union_window(src: PerfectComplex, tgt: PerfectComplex) -> tuple[int, int]:
-    return min(src.lo, tgt.lo), max(src.hi, tgt.hi)
+_M = TypeVar("_M", bound="_HomMap")
 
 
 @dataclass(frozen=True)
-class ChainMap:
-    """A degreewise map f^n : source^n -> target^n, stored over the union
-    window of the two complexes (zero-shaped blocks included)."""
+class _HomMap:
+    """A degree-k element of Hom(source, target): blocks
+    f^n : source^n -> target^(n+k), with k the class constant `_k`.
+
+    Stored over the union window of the two complexes plus -k degrees at
+    the top, which holds every nonzero block for k = 0 and k = -1
+    (zero-shaped blocks included).
+    """
 
     source: PerfectComplex
     target: PerfectComplex
     lo: int
     comps: tuple[Matrix, ...]
 
+    _k: ClassVar[int]
+    _noun: ClassVar[str]
+
     @classmethod
-    def build(cls, source: PerfectComplex, target: PerfectComplex,
-              comps: Optional[Mapping[int, Matrix]] = None) -> "ChainMap":
+    def build(cls: type[_M], source: PerfectComplex, target: PerfectComplex,
+              comps: Optional[Mapping[int, Matrix]] = None) -> _M:
         if source.ring != target.ring:
-            raise ValueError("chain map needs a common ring")
+            raise ValueError(f"{cls._noun} needs a common ring")
         comps = dict(comps or {})
-        lo, hi = _union_window(source, target)
+        lo = min(source.lo, target.lo)
+        hi = max(source.hi, target.hi) - cls._k
         seq = []
         for n in range(lo, hi + 1):
             f = comps.get(n)
             if f is None:
-                f = Matrix.zero(source.ring, target.rank(n), source.rank(n))
+                f = cls._zero_block(source, target, n)
             seq.append(f)
         return cls(source, target, lo, tuple(seq))
 
     @classmethod
-    def zero(cls, source: PerfectComplex, target: PerfectComplex) -> "ChainMap":
+    def zero(cls: type[_M], source: PerfectComplex,
+             target: PerfectComplex) -> _M:
         return cls.build(source, target)
 
     @classmethod
-    def identity(cls, k: PerfectComplex) -> "ChainMap":
-        return cls.build(k, k, {n: Matrix.identity(k.ring, k.rank(n))
-                                for n in k.degrees()})
+    def _zero_block(cls, source: PerfectComplex, target: PerfectComplex,
+                    n: int) -> Matrix:
+        return Matrix.zero(source.ring, target.rank(n + cls._k),
+                           source.rank(n))
 
     @property
     def ring(self) -> RingSpec:
@@ -209,13 +220,40 @@ class ChainMap:
         i = n - self.lo
         if 0 <= i < len(self.comps):
             return self.comps[i]
-        return Matrix.zero(self.ring, self.target.rank(n), self.source.rank(n))
+        return self._zero_block(self.source, self.target, n)
 
     def degrees(self) -> range:
         return range(self.lo, self.lo + len(self.comps))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
+
+    def _check_blocks(self, label: str) -> Validation:
+        """Ring, then shape, of each stored block in degree order; `label`
+        names a block in the messages."""
+        for n, f in zip(self.degrees(), self.comps):
+            if f.ring != self.ring:
+                return Validation(False, "ring", n,
+                                  f"{label} at degree {n} over {f.ring}")
+            want = (self.target.rank(n + self._k), self.source.rank(n))
+            if (f.rows, f.cols) != want:
+                return Validation(False, "shape", n,
+                                  f"{label} at degree {n} is "
+                                  f"{f.rows}x{f.cols}, expected "
+                                  f"{want[0]}x{want[1]}")
+        return _VALID
+
+
+class ChainMap(_HomMap):
+    """A degreewise map f^n : source^n -> target^n: degree 0 of Hom."""
+
+    _k = 0
+    _noun = "chain map"
+
+    @classmethod
+    def identity(cls, k: PerfectComplex) -> "ChainMap":
+        return cls.build(k, k, {n: Matrix.identity(k.ring, k.rank(n))
+                                for n in k.degrees()})
 
     def _check_parallel(self, other: "ChainMap") -> None:
         if self.source != other.source or self.target != other.target:
@@ -258,21 +296,12 @@ class ChainMap:
                               {n - k: self.comp(n) for n in self.degrees()})
 
     def validate(self) -> Validation:
-        for n in self.degrees():
-            f = self.comp(n)
-            if f.ring != self.ring:
-                return Validation(False, "ring", n,
-                                  f"component at degree {n} over {f.ring}")
-            want = (self.target.rank(n), self.source.rank(n))
-            if (f.rows, f.cols) != want:
-                return Validation(False, "shape", n,
-                                  f"component at degree {n} is "
-                                  f"{f.rows}x{f.cols}, expected "
-                                  f"{want[0]}x{want[1]}")
-        for n in range(self.lo - 1, self.lo + len(self.comps) + 1):
-            lhs = self.target.diff(n) @ self.comp(n)
-            rhs = self.comp(n + 1) @ self.source.diff(n)
-            if lhs != rhs:
+        """Ring and shape of each component, then D(f) = 0: d f = f d."""
+        check = self._check_blocks("component")
+        if not check:
+            return check
+        for n, x in _hom_d(self.source, self.target, 0, self.comp):
+            if not x.is_zero():
                 return Validation(False, "commute", n,
                                   f"d f != f d at degree {n}")
         return _VALID
@@ -286,62 +315,14 @@ def validate_complex(k: PerfectComplex) -> Validation:
     return k.validate()
 
 
-@dataclass(frozen=True)
-class Homotopy:
-    """Degree -1 data h^n : source^n -> target^(n-1), stored like ChainMap."""
+class Homotopy(_HomMap):
+    """Homotopy data h^n : source^n -> target^(n-1): degree -1 of Hom."""
 
-    source: PerfectComplex
-    target: PerfectComplex
-    lo: int
-    comps: tuple[Matrix, ...]
-
-    @classmethod
-    def build(cls, source: PerfectComplex, target: PerfectComplex,
-              comps: Optional[Mapping[int, Matrix]] = None) -> "Homotopy":
-        if source.ring != target.ring:
-            raise ValueError("homotopy needs a common ring")
-        comps = dict(comps or {})
-        lo, hi = _union_window(source, target)
-        seq = []
-        for n in range(lo, hi + 2):
-            h = comps.get(n)
-            if h is None:
-                h = Matrix.zero(source.ring, target.rank(n - 1),
-                                source.rank(n))
-            seq.append(h)
-        return cls(source, target, lo, tuple(seq))
-
-    @classmethod
-    def zero(cls, source: PerfectComplex, target: PerfectComplex) -> "Homotopy":
-        return cls.build(source, target)
-
-    @property
-    def ring(self) -> RingSpec:
-        return self.source.ring
-
-    def comp(self, n: int) -> Matrix:
-        i = n - self.lo
-        if 0 <= i < len(self.comps):
-            return self.comps[i]
-        return Matrix.zero(self.ring, self.target.rank(n - 1),
-                           self.source.rank(n))
-
-    def degrees(self) -> range:
-        return range(self.lo, self.lo + len(self.comps))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
+    _k = -1
+    _noun = "homotopy"
 
     def validate(self) -> Validation:
-        for n in self.degrees():
-            h = self.comp(n)
-            want = (self.target.rank(n - 1), self.source.rank(n))
-            if (h.rows, h.cols) != want:
-                return Validation(False, "shape", n,
-                                  f"homotopy component at degree {n} is "
-                                  f"{h.rows}x{h.cols}, expected "
-                                  f"{want[0]}x{want[1]}")
-        return _VALID
+        return self._check_blocks("homotopy component")
 
 
 def mapping_cone(f: ChainMap) -> PerfectComplex:
@@ -381,6 +362,18 @@ def _hom_slots(source: PerfectComplex, target: PerfectComplex,
         if r * c:
             slots.append((n, r, c))
     return slots
+
+
+def _hom_d(source: PerfectComplex, target: PerfectComplex, k: int,
+           comp: Callable[[int], Matrix]) -> Iterator[tuple[int, Matrix]]:
+    """D(X)^n = d_tgt X^n - (-1)^k X^(n+1) d_src for the degree-k element
+    X of Hom(source, target) whose block at n is comp(n), by matrix
+    products, at each block of `_hom_slots(source, target, k + 1)` in
+    ascending degree.  HomComplex assembles the same map as rows."""
+    for n, _, _ in _hom_slots(source, target, k + 1):
+        a = target.diff(n + k) @ comp(n)
+        b = comp(n + 1) @ source.diff(n)
+        yield n, (a + b if k % 2 else a - b)
 
 
 class HomComplex:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .complexes import ChainMap, HomComplex, Homotopy, PerfectComplex
+from .complexes import (ChainMap, HomComplex, Homotopy, PerfectComplex,
+                        _hom_d)
 from .rings import RingElem
 
 
@@ -33,16 +34,12 @@ def graded_trace(u: ChainMap) -> RingElem:
 
 
 def perturb(f: ChainMap, h: Homotopy) -> ChainMap:
-    """f + d h + h d, a chain map homotopic to f by construction."""
+    """f + D(h) = f + d h + h d, a chain map homotopic to f by
+    construction, evaluated by matrix products."""
     if h.source != f.source or h.target != f.target:
         raise ValueError("homotopy does not match the map's source/target")
-    src, tgt = f.source, f.target
-    comps = {}
-    for n in f.degrees():
-        comps[n] = (f.comp(n)
-                    + tgt.diff(n - 1) @ h.comp(n)
-                    + h.comp(n + 1) @ src.diff(n))
-    return ChainMap.build(src, tgt, comps)
+    dh = _hom_d(f.source, f.target, -1, h.comp)
+    return f + ChainMap.build(f.source, f.target, dict(dh))
 
 
 class NullHomotopyProblem(HomComplex):

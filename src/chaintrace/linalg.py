@@ -134,10 +134,6 @@ class Matrix:
         return Matrix(self.ring, self.rows, self.cols,
                       tuple(-x for x in self.entries))
 
-    def scale(self, c: RingElem) -> "Matrix":
-        return Matrix(self.ring, self.rows, self.cols,
-                      tuple(c * x for x in self.entries))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ring != other.ring:
             raise RingMismatchError("matrices over different rings")

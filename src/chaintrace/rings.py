@@ -81,18 +81,7 @@ class RingSpec:
 
         This needs has_epsilon to be false and the modulus squarefree.
         """
-        if self.has_epsilon:
-            return False
-        m = self.modulus
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                m //= d
-                if m % d == 0:
-                    return False
-            else:
-                d += 1
-        return True
+        return self.nilpotent_witness() is None
 
     def nilpotent_witness(self) -> Optional["RingElem"]:
         """A nonzero element squaring to zero, or None if the ring is reduced.

@@ -33,6 +33,7 @@ from .complexes import (
     PerfectComplex,
     Validation,
     _VALID,
+    _hom_d,
 )
 from .homotopy import Homotopy, NullHomotopyProblem, graded_trace
 from .linalg import LinearSolver, Matrix
@@ -411,18 +412,27 @@ def make_extension(sub: PerfectComplex, quotient: PerfectComplex,
 
     lo = min(sub.lo, quotient.lo)
     hi = max(sub.hi, quotient.hi)
-    for n in range(lo - 1, hi + 1):
-        lhs = (sub.diff(n + 1) @ _twist_block(sub, quotient, twist, n)
-               + _twist_block(sub, quotient, twist, n + 1) @ quotient.diff(n))
-        if not lhs.is_zero():
+    blocks: dict[int, Matrix] = {}
+
+    def block(n: int) -> Matrix:
+        # checks degrees lo - 1 .. n in order, so a bad block is reported
+        # before a failure of D(t) at any degree that reads it
+        for m in range(lo - 1 + len(blocks), n + 1):
+            blocks[m] = _twist_block(sub, quotient, twist, m)
+        return blocks[n]
+
+    # t must be a cycle of Hom(quotient, sub): D(t) = d_sub t + t d_quo = 0
+    for n, x in _hom_d(quotient, sub, 1, block):
+        if not x.is_zero():
             raise ValueError(f"twist fails the compatibility equation "
                              f"at degree {n}")
+    block(hi + 1)
 
     ranks = [sub.rank(n) + quotient.rank(n) for n in range(lo, hi + 1)]
     diffs = {}
     for n in range(lo, hi):
         diffs[n] = Matrix.block([
-            [sub.diff(n), _twist_block(sub, quotient, twist, n)],
+            [sub.diff(n), block(n)],
             [Matrix.zero(ring, quotient.rank(n + 1), sub.rank(n)),
              quotient.diff(n)],
         ])

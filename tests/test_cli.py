@@ -159,6 +159,17 @@ def test_search_report_and_log(tmp_path, capsys):
     assert index == "0" and len(squares.split("+")) == 3
 
 
+def test_search_log_to_unwritable_path_is_usage_error(tmp_path, capsys):
+    log = tmp_path / "missing" / "x.log"
+    code = cli.run(["search", "--ring", "Z/2", "--trials", "1",
+                    "--log", str(log)])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert f"usage error: cannot write {log}" in captured.err
+    assert not log.exists()
+
+
 def test_search_clean_report(capsys):
     assert cli.run(["search", "--ring", "Z/2", "--mode", "exhaustive"]) == 0
     out = capsys.readouterr().out

@@ -11,10 +11,11 @@ from chaintrace.complexes import (
     PerfectComplex,
     direct_sum,
     mapping_cone,
+    _hom_d,
     validate_chain_map,
     validate_complex,
 )
-from chaintrace.generate import random_complex
+from chaintrace.generate import random_complex, random_matrix
 from chaintrace.linalg import Matrix
 from chaintrace.rings import RingSpec
 
@@ -280,6 +281,32 @@ def test_hom_complex_cycles_are_chain_maps_into_shift():
                     brute += 1
                     constrained += hom.count < 4 ** hom.n_vars
     assert brute >= 100 and constrained >= 10
+
+
+def test_hom_differential_matches_hom_complex_rows():
+    """The matrix-product D of Hom, which ChainMap.validate, perturb and
+    make_extension evaluate, equals HomComplex's row assembly applied to
+    the unknowns, block by block, for random degree-k elements (mostly
+    not cycles, so the sign at odd k shows)."""
+    rng = random.Random(12)
+    cases = non_cycles = 0
+    for ring in (Z4, RingSpec(6), RingSpec(2, True), Z3E):
+        for _ in range(40):
+            src, tgt = (random_complex(rng, ring, max_window=4, max_rank=2,
+                                       lo=rng.randint(0, 1))
+                        for _ in range(2))
+            for k in range(-2, 3):
+                hom = HomComplex(src, tgt, k)
+                x = {n: random_matrix(rng, ring, r, c)
+                     for n, r, c in hom.var_slots}
+                dx = dict(_hom_d(src, tgt, k, lambda n: x.get(
+                    n, Matrix.zero(ring, tgt.rank(n + k), src.rank(n)))))
+                assert list(dx) == [n for n, _, _ in hom.eq_slots]
+                vec = [e for n, _, _ in hom.var_slots for e in x[n].entries]
+                assert hom.flatten(dx.__getitem__) == hom.solver.mat.apply(vec)
+                cases += 1
+                non_cycles += any(not b.is_zero() for b in dx.values())
+    assert cases == 800 and non_cycles >= 100
 
 
 def test_homotopy_shapes():
