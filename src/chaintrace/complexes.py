@@ -18,7 +18,7 @@ from random import Random
 from typing import (Callable, ClassVar, Iterator, Mapping, Optional,
                     Sequence, TypeVar)
 
-from .linalg import LinearSolver, Matrix, ShapeError
+from .linalg import LinearSolver, Matrix
 from .rings import RingElem, RingSpec
 
 

@@ -29,20 +29,23 @@ classic square-zero-twist instance still sails through all three
 squares with a nonzero defect.  That asymmetry is the whole point.
 
 Exhaustive mode enumerates complexes (windows anchored at degree 0 —
-traces are blind to shifts), twists, and endomorphism triples.  Triples
-are never looped over one by one on the happy path: endos of the sub
-and quotient are bucketed by the coset keys of their visible square's
-defect and of their half of the connecting square, so every (u, w) pair
-compatible with a given middle endo is counted by histogram convolution
-instead of being visited.
+traces are blind to shifts) and twists, then counts each sequence's
+triples without visiting them.  Every condition is linear in (u, v, w)
+once each square carries its homotopy as an unknown: the chain-map
+equations, "difference = D(h)" per square, and for the additive count
+the defect row.  So examined and additive triples are kernel counts of
+one Hom-complex system, two factorisations per sequence (see
+_SesSystem.counts).  Triples are visited one by one only for a log and
+to find the first violation, on the first sequence that has one.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import prod
 from random import Random
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .complexes import (
     ChainMap,
@@ -220,153 +223,165 @@ def _complexes_with_ranks(ring: RingSpec,
 
 
 # ---------------------------------------------------------------------------
-# One short exact sequence, all triples, by histogram convolution
+# One short exact sequence: its triples one by one, or counted in one go
 # ---------------------------------------------------------------------------
 
+Classified = tuple[ShortExactSequence, EndoTriple, AdditivityReport,
+                   SquareStatus]
 
-class _SesTally:
-    """Per-sequence machinery: bucket sub endos by (left-square key,
-    connecting key of u against the boundary map) and quotient endos by
-    (right-square key, connecting key of the boundary map against w),
-    then race middle endos through the buckets.  Two outer endos are
-    jointly admissible for a given middle endo exactly when their square
-    keys match the middle endo's and their connecting keys match each
-    other, so nothing triple-shaped is ever materialised."""
+
+def _pushed(space: ChainMapSpace, height: int,
+            image: Callable[[ChainMap], list[RingElem]]) -> Matrix:
+    """The matrix of a linear function of the maps in `space`'s layout:
+    column i is image(e_i), e_i the map with a single 1 at unknown i
+    (not a chain map in general; `image` only needs it to be linear)."""
+    ring = space.source.ring
+    cols: list[RingElem] = []
+    for i in range(space.n_vars):
+        unit = [ring.zero()] * space.n_vars
+        unit[i] = ring.one()
+        e = ChainMap.build(space.source, space.target, space.to_blocks(unit))
+        cols.extend(image(e))
+    return Matrix(ring, space.n_vars, height, tuple(cols)).transpose()
+
+
+class _SesSystem:
+    """One sequence K -> L -> M set up for its endo triples: the three
+    endo spaces, the boundary map delta : M -> K[1], and a null-homotopy
+    problem per square (left K -> L, right L -> M, connecting M -> K[1])."""
 
     def __init__(self, ses: ShortExactSequence):
         self.ses = ses
+        self.u_space = ChainMapSpace(ses.sub, ses.sub)
+        self.v_space = ChainMapSpace(ses.middle, ses.middle)
+        self.w_space = ChainMapSpace(ses.quotient, ses.quotient)
         self.left_prob = NullHomotopyProblem(ses.sub, ses.middle)
         self.right_prob = NullHomotopyProblem(ses.middle, ses.quotient)
         self.delta = connecting_map(ses)
         self.conn_prob = NullHomotopyProblem(ses.quotient, ses.sub.shift(1))
-        self.u_space = ChainMapSpace(ses.sub, ses.sub)
-        self.w_space = ChainMapSpace(ses.quotient, ses.quotient)
-        self.v_space = ChainMapSpace(ses.middle, ses.middle)
-        j, q = ses.inclusion, ses.projection
-        Key = tuple[int, ...]
-        # hu[left key][connecting key][trace index] = how many sub endos
-        self.hu: dict[Key, dict[Key, dict[int, int]]] = {}
-        for u in self.u_space.iter_all():
-            key = self.left_prob.coset_key(j @ u)
-            ck = self.conn_prob.coset_key(u.shift(1) @ self.delta)
-            t = graded_trace(u).index
-            bucket = self.hu.setdefault(key, {}).setdefault(ck, {})
-            bucket[t] = bucket.get(t, 0) + 1
-        self.hw: dict[Key, dict[Key, dict[int, int]]] = {}
-        for w in self.w_space.iter_all():
-            key = self.right_prob.coset_key(w @ q)
-            ck = self.conn_prob.coset_key(self.delta @ w)
-            t = graded_trace(w).index
-            bucket = self.hw.setdefault(key, {}).setdefault(ck, {})
-            bucket[t] = bucket.get(t, 0) + 1
-        self._nu = {k: {ck: sum(b.values()) for ck, b in sub.items()}
-                    for k, sub in self.hu.items()}
-        self._nw = {k: {ck: sum(b.values()) for ck, b in sub.items()}
-                    for k, sub in self.hw.items()}
 
-    def sweep(self) -> tuple[int, int, Optional[Violation]]:
-        """(examined, violations, first violation or None) over all
-        middle endos, using the histograms."""
+    def left_square(self, u: ChainMap, v: ChainMap) -> SquareStatus:
+        """v j against j u, with a witness when homotopic."""
+        left_diff = v @ self.ses.inclusion - self.ses.inclusion @ u
+        return SquareStatus(left_diff.is_zero(),
+                            self.left_prob.solve_for(left_diff))
+
+    def classify(self, triple: EndoTriple,
+                 left: Optional[SquareStatus] = None) -> Classified:
+        """Decide the three squares of one triple, each with a witness,
+        and its trace defect: the one per-triple check of both modes.
+        `left` is the left square when the caller already has it."""
         ses = self.ses
-        ring = ses.ring
-        j, q = ses.inclusion, ses.projection
-        examined = violations = 0
-        first: Optional[Violation] = None
+        u, v, w = triple.on_sub, triple.on_middle, triple.on_quotient
+        q = ses.projection
+        if left is None:
+            left = self.left_square(u, v)
+        right_diff = q @ v - w @ q
+        right = SquareStatus(right_diff.is_zero(),
+                             self.right_prob.solve_for(right_diff))
+        conn = connecting_square(ses, u, w, delta=self.delta,
+                                 problem=self.conn_prob)
+        tu, tv, tw = graded_trace(u), graded_trace(v), graded_trace(w)
+        report = AdditivityReport(left, right, tu, tv, tw, tv - tu - tw)
+        return ses, triple, report, conn
+
+    def triples(self) -> Iterator[Classified]:
+        """Every triple, classified, in enumeration order: middle endo,
+        then sub endo, then quotient endo.  The slow oracle of counts."""
         for v in self.v_space.iter_all():
-            kl = self.left_prob.coset_key(v @ j)
-            kr = self.right_prob.coset_key(q @ v)
-            bu, bw = self.hu.get(kl), self.hw.get(kr)
-            if not bu or not bw:
-                continue
-            tv = graded_trace(v)
-            pairs = additive = 0
-            for ck, bucket_u in bu.items():
-                bucket_w = bw.get(ck)
-                if not bucket_w:
-                    continue
-                pairs += self._nu[kl][ck] * self._nw[kr][ck]
-                additive += sum(
-                    cnt * bucket_w.get((tv - ring.from_index(t)).index, 0)
-                    for t, cnt in bucket_u.items())
-            examined += pairs
-            bad = pairs - additive
-            if bad:
-                violations += bad
-                if first is None:
-                    first = self._locate(v, kl, kr, tv)
-        return examined, violations, first
-
-    def _locate(self, v: ChainMap, kl: tuple[int, ...],
-                kr: tuple[int, ...], tv: RingElem) -> Violation:
-        """First (u, w) in enumeration order completing v to a violating
-        triple; only runs once per search, so plain scanning is fine."""
-        ses = self.ses
-        j, q = ses.inclusion, ses.projection
-        for u in self.u_space.iter_all():
-            if self.left_prob.coset_key(j @ u) != kl:
-                continue
-            cku = self.conn_prob.coset_key(u.shift(1) @ self.delta)
-            tu = graded_trace(u)
-            for w in self.w_space.iter_all():
-                if self.right_prob.coset_key(w @ q) != kr:
-                    continue
-                if self.conn_prob.coset_key(self.delta @ w) != cku:
-                    continue
-                if tv - tu - graded_trace(w):
-                    triple = EndoTriple(u, v, w)
-                    report = check_triple(
-                        ses, triple,
-                        left_problem=self.left_prob,
-                        right_problem=self.right_prob)
-                    return ses, triple, report
-        raise RuntimeError("histogram promised a violation but the scan "
-                           "found none; counting bug")
-
-    def sweep_logged(self, base_index: int, log: LogLine
-                     ) -> tuple[int, int, Optional[Violation], int]:
-        """Slow per-triple sweep that emits one log line per classified
-        triple; order is middle endo, then sub endo, then quotient."""
-        ses = self.ses
-        j, q = ses.inclusion, ses.projection
-        examined = violations = 0
-        first: Optional[Violation] = None
-        index = base_index
-        for v in self.v_space.iter_all():
-            tv = graded_trace(v)
-            vj, qv = v @ j, q @ v
             for u in self.u_space.iter_all():
-                left_diff = vj - j @ u
-                left = SquareStatus(left_diff.is_zero(),
-                                    self.left_prob.solve_for(left_diff))
-                u_half = u.shift(1) @ self.delta
+                left = self.left_square(u, v)
                 for w in self.w_space.iter_all():
-                    right_diff = qv - w @ q
-                    right = SquareStatus(
-                        right_diff.is_zero(),
-                        self.right_prob.solve_for(right_diff))
-                    conn_diff = u_half - self.delta @ w
-                    conn = SquareStatus(conn_diff.is_zero(),
-                                        self.conn_prob.solve_for(conn_diff))
-                    defect = tv - graded_trace(u) - graded_trace(w)
-                    log(f"{index}\t{left.describe()}+{right.describe()}"
-                        f"+{conn.describe()}\t{defect}")
-                    index += 1
-                    if not (left.holds and right.holds and conn.holds):
-                        continue
-                    examined += 1
-                    if defect:
-                        violations += 1
-                        if first is None:
-                            report = AdditivityReport(
-                                left, right, graded_trace(u), tv,
-                                graded_trace(w), defect)
-                            first = (ses, EndoTriple(u, v, w), report)
-        return examined, violations, first, index
+                    yield self.classify(EndoTriple(u, v, w), left)
+
+    def first_violation(self) -> Optional[Violation]:
+        """The first examined triple with nonzero defect, or None."""
+        for ses, triple, report, conn in self.triples():
+            if report.squares_hold and conn.holds and report.defect:
+                return ses, triple, report
+        return None
+
+    def counts(self) -> tuple[int, int]:
+        """(examined, violations) over all triples, visiting none.
+
+        The examined triples, each with a homotopy (h_L, h_R, h_C) per
+        square, are the solutions of one linear system B,
+
+            D(u) = D(v) = D(w) = 0,
+            v j - j u = D(h_L),  q v - w q = D(h_R),
+            u[1] delta - delta w = D(h_C),
+
+        and the additive ones solve B plus the row tr v - tr u - tr w.
+        The homotopies of one triple form a coset of the three problems'
+        homotopy cycles Z^-1, so each kernel is exactly
+        |Z^-1_L| |Z^-1_R| |Z^-1_C| times its triple count.
+        """
+        ring = self.ses.ring
+        j, q, delta = self.ses.inclusion, self.ses.projection, self.delta
+        spaces = (self.u_space, self.v_space, self.w_space)
+        probs = (self.left_prob, self.right_prob, self.conn_prob)
+        # each block row of B as {unknown: block}, absent blocks zero;
+        # unknowns 0..2 are u, v, w and 3..5 the homotopies h_L, h_R, h_C
+        rows: list[dict[int, Matrix]] = [
+            {i: s.solver.mat} for i, s in enumerate(spaces)]
+        # the terms of each square's difference, by unknown
+        squares = ({0: lambda e: -(j @ e), 1: lambda e: e @ j},
+                   {1: lambda e: q @ e, 2: lambda e: -(e @ q)},
+                   {0: lambda e: e.shift(1) @ delta,
+                    2: lambda e: -(delta @ e)})
+        for k, (prob, terms) in enumerate(zip(probs, squares)):
+            d = prob.solver.mat
+            row = {3 + k: -d}
+            for i, term in terms.items():
+                row[i] = _pushed(spaces[i], d.rows,
+                                 lambda e: prob.flatten(term(e).comp))
+            rows.append(row)
+        defect = (lambda e: [-graded_trace(e)],
+                  lambda e: [graded_trace(e)],
+                  lambda e: [-graded_trace(e)])
+        defect_row = {i: _pushed(s, 1, term)
+                      for i, (s, term) in enumerate(zip(spaces, defect))}
+        unknowns = (*spaces, *probs)
+        fibre = prod(p.count for p in probs)
+
+        def solving(block_rows: list[dict[int, Matrix]]) -> int:
+            grid = [[row[i] if i in row else
+                     Matrix.zero(ring, next(iter(row.values())).rows,
+                                 x.n_vars)
+                     for i, x in enumerate(unknowns)] for row in block_rows]
+            count, rest = divmod(
+                LinearSolver(Matrix.block(grid)).kernel_count, fibre)
+            if rest:
+                raise RuntimeError("kernel count is not a multiple of the "
+                                   "homotopy cycles; solver bug")
+            return count
+
+        examined = solving(rows)
+        return examined, examined - solving(rows + [defect_row])
 
 
 # ---------------------------------------------------------------------------
 # The search drivers
 # ---------------------------------------------------------------------------
+
+
+def _tally(classified: Iterable[Classified],
+           log: Optional[LogLine]) -> SearchOutcome:
+    """Count a stream of classified triples, logging one line each."""
+    examined = violations = 0
+    first: Optional[Violation] = None
+    for index, (ses, triple, report, conn) in enumerate(classified):
+        if log is not None:
+            log(f"{index}\t{report.left.describe()}+{report.right.describe()}"
+                f"+{conn.describe()}\t{report.defect}")
+        if not (report.squares_hold and conn.holds):
+            continue             # a failing square: discarded, not examined
+        examined += 1
+        if report.defect:
+            violations += 1
+            if first is None:
+                first = (ses, triple, report)
+    return SearchOutcome(violations, first, examined)
 
 
 def _bounded_complex_list(cfg: SearchConfig) -> list[PerfectComplex]:
@@ -415,32 +430,33 @@ def _search_exhaustive(cfg: SearchConfig,
                        log: Optional[LogLine]) -> SearchOutcome:
     # budget pass first: streams the same skeletons without doing work.
     # with a log, every triple is visited one by one, so the budget is
-    # counted per triple; without one the histogram path only ever
-    # enumerates the three endo spaces separately.
+    # counted per triple; without one it stays the sum of the three
+    # endo-space sizes, though the kernel counts enumerate none of them
     _exhaustive_budget(cfg, per_triple=log is not None)
+    systems = (_SesSystem(ses) for ses, _n_u, _n_w, _n_v
+               in _iter_extensions(cfg)
+               if validate_ses(ses))  # always valid by construction
+    if log is not None:
+        return _tally((c for s in systems for c in s.triples()), log)
     examined = violations = 0
     first: Optional[Violation] = None
-    index = 0
-    for ses, _n_u, _n_w, _n_v in _iter_extensions(cfg):
-        if not validate_ses(ses):     # impossible by construction
-            continue
-        tally = _SesTally(ses)
-        if log is None:
-            ex, vi, fi = tally.sweep()
-        else:
-            ex, vi, fi, index = tally.sweep_logged(index, log)
+    for system in systems:
+        ex, vi = system.counts()
         examined += ex
         violations += vi
-        if first is None:
-            first = fi
+        if vi and first is None:
+            # the only triples visited: up to the first violation of the
+            # first sequence that has one
+            first = system.first_violation()
+            if first is None:
+                raise RuntimeError("kernel counts promised a violation "
+                                   "that the scan did not find; counting "
+                                   "bug")
     return SearchOutcome(violations, first, examined)
 
 
-def _search_randomized(cfg: SearchConfig,
-                       log: Optional[LogLine]) -> SearchOutcome:
+def _random_triples(cfg: SearchConfig) -> Iterator[Classified]:
     ring = cfg.ring
-    examined = violations = 0
-    first: Optional[Violation] = None
     for trial in range(cfg.trials):
         rng = Random(f"{cfg.seed}:{trial}")
         sub = random_complex(rng, ring, max_window=cfg.max_window,
@@ -448,33 +464,11 @@ def _search_randomized(cfg: SearchConfig,
         quo = random_complex(rng, ring, max_window=cfg.max_window,
                              max_rank=cfg.max_rank)
         ses = make_extension(sub, quo, random_cocycle(rng, sub, quo))
-        u = ChainMapSpace(sub, sub).sample(rng)
-        v = ChainMapSpace(ses.middle, ses.middle).sample(rng)
-        w = ChainMapSpace(quo, quo).sample(rng)
-        left_prob = NullHomotopyProblem(sub, ses.middle)
-        right_prob = NullHomotopyProblem(ses.middle, ses.quotient)
-        j, q = ses.inclusion, ses.projection
-        left_diff = v @ j - j @ u
-        right_diff = q @ v - w @ q
-        left = SquareStatus(left_diff.is_zero(),
-                            left_prob.solve_for(left_diff))
-        right = SquareStatus(right_diff.is_zero(),
-                             right_prob.solve_for(right_diff))
-        conn = connecting_square(ses, u, w)
-        tu, tv, tw = graded_trace(u), graded_trace(v), graded_trace(w)
-        defect = tv - tu - tw
-        if log is not None:
-            log(f"{trial}\t{left.describe()}+{right.describe()}"
-                f"+{conn.describe()}\t{defect}")
-        if not (left.holds and right.holds and conn.holds):
-            continue             # a failing square: discarded, not examined
-        examined += 1
-        if defect:
-            violations += 1
-            if first is None:
-                report = AdditivityReport(left, right, tu, tv, tw, defect)
-                first = (ses, EndoTriple(u, v, w), report)
-    return SearchOutcome(violations, first, examined)
+        system = _SesSystem(ses)
+        u = system.u_space.sample(rng)
+        v = system.v_space.sample(rng)
+        w = system.w_space.sample(rng)
+        yield system.classify(EndoTriple(u, v, w))
 
 
 def search_violation(cfg: SearchConfig,
@@ -492,7 +486,7 @@ def search_violation(cfg: SearchConfig,
     """
     if cfg.mode == "exhaustive":
         return _search_exhaustive(cfg, log)
-    return _search_randomized(cfg, log)
+    return _tally(_random_triples(cfg), log)
 
 
 # ---------------------------------------------------------------------------

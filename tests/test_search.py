@@ -2,10 +2,10 @@
 exhaustive and randomized sweeps, and the independent certifier.
 
 The pinned counts (examined/violation totals for fixed bounds and seeds)
-were frozen from runs that were cross-checked two ways: the bucketed
-fast sweep against the one-triple-at-a-time logged sweep, and search
-hits against `certify`.  They guard the enumeration and the histogram
-bookkeeping against silent drift.
+were frozen from runs that were cross-checked two ways: the closed-form
+kernel counts against the one-triple-at-a-time sweep, and search hits
+against `certify`.  They guard the enumeration and the linear system
+behind the counts against silent drift.
 """
 
 import pytest
@@ -18,7 +18,8 @@ from chaintrace.search import (
     CeilingExceededError,
     SearchConfig,
     SearchOutcome,
-    _SesTally,
+    _SesSystem,
+    _tally,
     build_counterexample,
     certify,
     iter_all_complexes,
@@ -189,18 +190,36 @@ def test_exhaustive_fast_and_logged_sweeps_agree():
     assert lines[0] == "0\tstrict+strict+strict\t0"
 
 
-def test_histogram_sweep_matches_slow_sweep_on_violating_sequence():
+def test_closed_form_matches_slow_sweep_on_violating_sequence():
     sub = PerfectComplex.build(Z4, 0, [1, 1])
     quo = PerfectComplex.single(Z4, 0, 1)
     ses = make_extension(sub, quo, {0: M(Z4, [[2]])})
-    tally = _SesTally(ses)
-    fast_ex, fast_vi, fast_first = tally.sweep()
+    system = _SesSystem(ses)
+    fast_ex, fast_vi = system.counts()
+    fast_first = system.first_violation()
     lines = []
-    slow_ex, slow_vi, slow_first, _ = tally.sweep_logged(0, lines.append)
-    assert (fast_ex, fast_vi) == (slow_ex, slow_vi) == (512, 256)
-    assert fast_first is not None and slow_first is not None
+    slow = _tally(system.triples(), lines.append)
+    assert ((fast_ex, fast_vi)
+            == (slow.instances_examined, slow.violations_found)
+            == (512, 256))
+    assert fast_first is not None and slow.first_violation is not None
     assert bool(certify(SearchOutcome(fast_vi, fast_first, fast_ex)))
-    assert bool(certify(SearchOutcome(slow_vi, slow_first, slow_ex)))
+    assert bool(certify(slow))
+    assert fast_first == slow.first_violation
+
+
+def test_closed_form_matches_slow_sweep_where_signs_matter():
+    # over Z/2 every sign is invisible (-x = x); over these rings a wrong
+    # sign in a square or in the defect row changes the counts
+    for ring, counts in ((Z4, (32, 16)), (Z2E, (32, 16)), (Z3E, (243, 162)),
+                         (RingSpec(8), (128, 64)), (RingSpec(9), (243, 162))):
+        ses, _, _ = build_counterexample(ring)
+        system = _SesSystem(ses)
+        slow = _tally(system.triples(), None)
+        assert (system.counts()
+                == (slow.instances_examined, slow.violations_found)
+                == counts), ring
+        assert system.first_violation() == slow.first_violation, ring
 
 
 def test_exhaustive_ceiling_blocks_oversized_runs():
