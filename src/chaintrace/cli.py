@@ -243,18 +243,20 @@ def _cmd_search(args: argparse.Namespace) -> int:
                            ceiling=args.ceiling)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    # opening, writing and closing the log can each fail (a full device
+    # only reports at the flush); all three are the caller's path problem
     try:
         log_handle = (open(args.log, "w", encoding="utf-8") if args.log
                       else None)
+        try:
+            outcome = search_violation(
+                cfg, log=(lambda line: print(line, file=log_handle))
+                if log_handle else None)
+        finally:
+            if log_handle is not None:
+                log_handle.close()
     except OSError as exc:
         raise UsageError(f"cannot write {args.log}: {exc}") from exc
-    try:
-        outcome = search_violation(
-            cfg, log=(lambda line: print(line, file=log_handle))
-            if log_handle else None)
-    finally:
-        if log_handle is not None:
-            log_handle.close()
     print(f"ring {ring}")
     if cfg.mode == "exhaustive":
         print(f"mode: exhaustive (windows up to {cfg.max_window} degrees, "

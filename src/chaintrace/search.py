@@ -70,6 +70,7 @@ from .ses import (
     connecting_square,
     make_extension,
     validate_ses,
+    _visible_squares,
 )
 
 DEFAULT_CEILING = 10_000_000
@@ -168,11 +169,7 @@ def wrap_instance(ses: ShortExactSequence, triple: EndoTriple) -> SearchOutcome:
     """
     report = check_triple(ses, triple)
     conn = connecting_square(ses, triple.on_sub, triple.on_quotient)
-    examined = report.squares_hold and conn.holds
-    violation = examined and not report.additive
-    return SearchOutcome(1 if violation else 0,
-                         (ses, triple, report) if violation else None,
-                         1 if examined else 0)
+    return _tally([(ses, triple, report, conn)], None)
 
 
 # ---------------------------------------------------------------------------
@@ -260,39 +257,25 @@ class _SesSystem:
         self.delta = connecting_map(ses)
         self.conn_prob = NullHomotopyProblem(ses.quotient, ses.sub.shift(1))
 
-    def left_square(self, u: ChainMap, v: ChainMap) -> SquareStatus:
-        """v j against j u, with a witness when homotopic."""
-        left_diff = v @ self.ses.inclusion - self.ses.inclusion @ u
-        return SquareStatus(left_diff.is_zero(),
-                            self.left_prob.solve_for(left_diff))
-
-    def classify(self, triple: EndoTriple,
-                 left: Optional[SquareStatus] = None) -> Classified:
+    def classify(self, triple: EndoTriple) -> Classified:
         """Decide the three squares of one triple, each with a witness,
-        and its trace defect: the one per-triple check of both modes.
-        `left` is the left square when the caller already has it."""
-        ses = self.ses
-        u, v, w = triple.on_sub, triple.on_middle, triple.on_quotient
-        q = ses.projection
-        if left is None:
-            left = self.left_square(u, v)
-        right_diff = q @ v - w @ q
-        right = SquareStatus(right_diff.is_zero(),
-                             self.right_prob.solve_for(right_diff))
-        conn = connecting_square(ses, u, w, delta=self.delta,
-                                 problem=self.conn_prob)
-        tu, tv, tw = graded_trace(u), graded_trace(v), graded_trace(w)
-        report = AdditivityReport(left, right, tu, tv, tw, tv - tu - tw)
-        return ses, triple, report, conn
+        and its trace defect: the one per-triple check of every mode.
+        check_triple's squares and traces on the prepared problems,
+        without its endo validation (the endos come from the spaces),
+        plus connecting_square with the prepared delta and problem."""
+        report = _visible_squares(self.ses, triple, self.left_prob,
+                                  self.right_prob)
+        conn = connecting_square(self.ses, triple.on_sub, triple.on_quotient,
+                                 delta=self.delta, problem=self.conn_prob)
+        return self.ses, triple, report, conn
 
     def triples(self) -> Iterator[Classified]:
         """Every triple, classified, in enumeration order: middle endo,
         then sub endo, then quotient endo.  The slow oracle of counts."""
         for v in self.v_space.iter_all():
             for u in self.u_space.iter_all():
-                left = self.left_square(u, v)
                 for w in self.w_space.iter_all():
-                    yield self.classify(EndoTriple(u, v, w), left)
+                    yield self.classify(EndoTriple(u, v, w))
 
     def first_violation(self) -> Optional[Violation]:
         """The first examined triple with nonzero defect, or None."""
@@ -396,27 +379,27 @@ def _bounded_complex_list(cfg: SearchConfig) -> list[PerfectComplex]:
     return out
 
 
-def _iter_extensions(cfg: SearchConfig
-                     ) -> Iterator[tuple[ShortExactSequence, int, int, int]]:
-    """All extensions in range, with endo-space sizes for budgeting."""
-    all_cs = _bounded_complex_list(cfg)
+def _iter_extensions(all_cs: list[PerfectComplex]
+                     ) -> Iterator[ShortExactSequence]:
+    """All extensions of one complex in `all_cs` by another, in order."""
     for sub in all_cs:
         for quo in all_cs:
-            space = CocycleSpace(sub, quo)
-            n_u = ChainMapSpace(sub, sub).count
-            n_w = ChainMapSpace(quo, quo).count
-            for twist in space.iter_all():
-                ses = make_extension(sub, quo, twist)
-                n_v = ChainMapSpace(ses.middle, ses.middle).count
-                yield ses, n_u, n_w, n_v
+            for twist in CocycleSpace(sub, quo).iter_all():
+                yield make_extension(sub, quo, twist)
 
 
-def _exhaustive_budget(cfg: SearchConfig, *, per_triple: bool) -> int:
+def _exhaustive_budget(cfg: SearchConfig, all_cs: list[PerfectComplex],
+                       *, per_triple: bool) -> int:
     """Total object count the exhaustive run will enumerate; raises
     CeilingExceededError as soon as the running total passes the
     ceiling, so oversized configs are refused before real work."""
+    # one endo count per complex; a sequence's sub and quotient are
+    # entries of all_cs, its middle is new
+    n_endo = {k: ChainMapSpace(k, k).count for k in all_cs}
     total = 0
-    for _ses, n_u, n_w, n_v in _iter_extensions(cfg):
+    for ses in _iter_extensions(all_cs):
+        n_u, n_w = n_endo[ses.sub], n_endo[ses.quotient]
+        n_v = ChainMapSpace(ses.middle, ses.middle).count
         total += 1 + (n_u * n_w * n_v if per_triple else n_u + n_w + n_v)
         if total > cfg.ceiling:
             raise CeilingExceededError(
@@ -432,9 +415,9 @@ def _search_exhaustive(cfg: SearchConfig,
     # with a log, every triple is visited one by one, so the budget is
     # counted per triple; without one it stays the sum of the three
     # endo-space sizes, though the kernel counts enumerate none of them
-    _exhaustive_budget(cfg, per_triple=log is not None)
-    systems = (_SesSystem(ses) for ses, _n_u, _n_w, _n_v
-               in _iter_extensions(cfg)
+    all_cs = _bounded_complex_list(cfg)
+    _exhaustive_budget(cfg, all_cs, per_triple=log is not None)
+    systems = (_SesSystem(ses) for ses in _iter_extensions(all_cs)
                if validate_ses(ses))  # always valid by construction
     if log is not None:
         return _tally((c for s in systems for c in s.triples()), log)

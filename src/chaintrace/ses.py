@@ -119,6 +119,22 @@ def validate_ses(ses: ShortExactSequence) -> Validation:
     return _VALID
 
 
+def _solve_columns(mat: Matrix, rhs: Matrix, failure: str) -> Matrix:
+    """The matrix X with mat @ X = rhs, solved column by column through
+    one factorisation of `mat`; ValueError(failure) when some column of
+    rhs has no preimage."""
+    solver = LinearSolver(mat)
+    cols: list[tuple[RingElem, ...]] = []
+    for c in range(rhs.cols):
+        rep = solver.solve([rhs.entry(r, c) for r in range(rhs.rows)])
+        if not rep.solvable:
+            raise ValueError(failure)
+        cols.append(rep.witness)
+    return Matrix(mat.ring, mat.cols, rhs.cols,
+                  tuple(cols[c][r] for r in range(mat.cols)
+                        for c in range(rhs.cols)))
+
+
 def find_section(ses: ShortExactSequence) -> dict[int, Matrix]:
     """Degreewise right inverse of the projection, solved column by column.
 
@@ -127,59 +143,13 @@ def find_section(ses: ShortExactSequence) -> dict[int, Matrix]:
     map only, not a chain map in general.  Raises ValueError when some
     column has no preimage (i.e. the projection is not onto).
     """
-    ring = ses.ring
     out: dict[int, Matrix] = {}
     for n in ses.quotient.degrees():
         rq = ses.quotient.rank(n)
-        if rq == 0:
-            continue
-        q = ses.projection.comp(n)
-        solver = LinearSolver(q)
-        cols: list[tuple[RingElem, ...]] = []
-        for i in range(rq):
-            target = [ring.element(1 if r == i else 0) for r in range(rq)]
-            rep = solver.solve(target)
-            if not rep.solvable:
-                raise ValueError(f"projection misses a basis vector "
-                                 f"at degree {n}")
-            cols.append(rep.witness)
-        rl = ses.middle.rank(n)
-        out[n] = Matrix(ring, rl, rq,
-                        tuple(cols[j][i] for i in range(rl)
-                              for j in range(rq)))
-    return out
-
-
-def _retraction(ses: ShortExactSequence,
-                section: Mapping[int, Matrix]) -> dict[int, Matrix]:
-    """Degreewise left inverse of the inclusion that kills the section.
-
-    Solves inclusion @ r = identity - section @ projection per degree;
-    the right-hand side lands in the kernel of the projection, which is
-    exactly the image of the inclusion, so for a valid sequence every
-    column has a (unique) preimage.
-    """
-    ring = ses.ring
-    out: dict[int, Matrix] = {}
-    for n in ses.middle.degrees():
-        rl, rs = ses.middle.rank(n), ses.sub.rank(n)
-        if rl * rs == 0:
-            out[n] = Matrix.zero(ring, rs, rl)
-            continue
-        q = ses.projection.comp(n)
-        s = section.get(n, Matrix.zero(ring, rl, ses.quotient.rank(n)))
-        resid = Matrix.identity(ring, rl) - s @ q
-        solver = LinearSolver(ses.inclusion.comp(n))
-        cols: list[tuple[RingElem, ...]] = []
-        for i in range(rl):
-            rep = solver.solve([resid.entry(r, i) for r in range(rl)])
-            if not rep.solvable:
-                raise ValueError(f"no retraction at degree {n}: is the "
-                                 f"sequence exact?")
-            cols.append(rep.witness)
-        out[n] = Matrix(ring, rs, rl,
-                        tuple(cols[c][r] for r in range(rs)
-                              for c in range(rl)))
+        if rq:
+            out[n] = _solve_columns(
+                ses.projection.comp(n), Matrix.identity(ses.ring, rq),
+                f"projection misses a basis vector at degree {n}")
     return out
 
 
@@ -187,24 +157,34 @@ def connecting_map(ses: ShortExactSequence) -> ChainMap:
     """The boundary of the sequence: a chain map quotient -> sub.shift(1).
 
     For an extension in canonical block form this is the glueing twist,
-    read straight off the middle differential.  In general it is built
-    from a degreewise splitting as retraction @ d_middle @ section; a
-    different splitting changes the result by a null-homotopic map only,
-    so everything downstream asks about null-homotopy classes.  Assumes
-    the sequence is valid (run validate_ses first when in doubt).
+    read straight off the middle differential.  In general it lifts
+    through a degreewise section s of the projection: d_middle s - s
+    d_quotient lands in the kernel of the projection, which is the image
+    of the inclusion j, so delta is the unique solution of
+
+        j^(n+1) delta^n = d_middle^n s^n - s^(n+1) d_quotient^n
+
+    (unique because j is injective).  A different section changes delta
+    by a null-homotopic map only, so everything downstream asks about
+    null-homotopy classes.  Assumes the sequence is valid (run
+    validate_ses first when in doubt).
     """
     target = ses.sub.shift(1)
     try:
         comps = extension_twist(ses)
     except ValueError:
+        ring, mid, quo = ses.ring, ses.middle, ses.quotient
         section = find_section(ses)
-        retraction = _retraction(ses, section)
         comps = {}
-        for n in ses.quotient.degrees():
-            if ses.quotient.rank(n) * ses.sub.rank(n + 1) == 0:
+        for n in quo.degrees():
+            if quo.rank(n) * ses.sub.rank(n + 1) == 0:
                 continue
-            comps[n] = (retraction[n + 1] @ ses.middle.diff(n)
-                        @ section[n])
+            s_next = section.get(n + 1, Matrix.zero(
+                ring, mid.rank(n + 1), quo.rank(n + 1)))
+            comps[n] = _solve_columns(
+                ses.inclusion.comp(n + 1),
+                mid.diff(n) @ section[n] - s_next @ quo.diff(n),
+                f"no boundary at degree {n}: is the sequence exact?")
     delta = ChainMap.build(ses.quotient, target, comps)
     check = delta.validate()
     if not check:
@@ -278,6 +258,32 @@ class AdditivityReport:
         return self.squares_hold and not self.additive
 
 
+def _square(diff: ChainMap,
+            problem: Optional[NullHomotopyProblem]) -> SquareStatus:
+    """Decide one square from the difference of its two composites, with
+    a null-homotopy problem for diff's source and target (built here when
+    None)."""
+    if problem is None:
+        problem = NullHomotopyProblem(diff.source, diff.target)
+    return SquareStatus(diff.is_zero(), problem.solve_for(diff))
+
+
+def _visible_squares(ses: ShortExactSequence, triple: EndoTriple,
+                     left_problem: Optional[NullHomotopyProblem],
+                     right_problem: Optional[NullHomotopyProblem],
+                     ) -> AdditivityReport:
+    """The two visible squares and the traces of a triple whose endos are
+    known to be chain endomorphisms of their complexes."""
+    u, v, w = triple.on_sub, triple.on_middle, triple.on_quotient
+    j, q = ses.inclusion, ses.projection
+    # both differences read "the composite through the middle endo, minus
+    # the other way around", so a witness h satisfies d h + h d = difference
+    left = _square(v @ j - j @ u, left_problem)
+    right = _square(q @ v - w @ q, right_problem)
+    tu, tv, tw = graded_trace(u), graded_trace(v), graded_trace(w)
+    return AdditivityReport(left, right, tu, tv, tw, tv - tu - tw)
+
+
 def check_triple(ses: ShortExactSequence, triple: EndoTriple,
                  *,
                  left_problem: Optional[NullHomotopyProblem] = None,
@@ -291,9 +297,11 @@ def check_triple(ses: ShortExactSequence, triple: EndoTriple,
     difference is null-homotopic, with the homotopy kept as a witness.
     Trace arithmetic is reported regardless of the square verdicts.
 
-    Callers doing this in a loop can pass prepared NullHomotopyProblem
-    instances (sub->middle and middle->quotient) to amortise the SNF
-    factorisations.  The sequence itself is not re-validated here.
+    Callers deciding many triples of one sequence can pass prepared
+    NullHomotopyProblem instances (sub->middle and middle->quotient), so
+    each factorisation is paid once per sequence; the search's
+    per-triple classifier decides its squares the same way.  The
+    sequence itself is not re-validated here.
     """
     pairs = ((triple.on_sub, ses.sub, "sub"),
              (triple.on_middle, ses.middle, "middle"),
@@ -306,26 +314,7 @@ def check_triple(ses: ShortExactSequence, triple: EndoTriple,
         if not v:
             raise ValueError(f"endo on {name} is not a chain map: "
                              f"{v.message}")
-
-    j, q = ses.inclusion, ses.projection
-    # both differences read "the composite through the middle endo, minus
-    # the other way around", so a witness h satisfies d h + h d = difference
-    left_diff = triple.on_middle @ j - j @ triple.on_sub
-    right_diff = q @ triple.on_middle - triple.on_quotient @ q
-
-    def status(diff: ChainMap,
-               prob: Optional[NullHomotopyProblem]) -> SquareStatus:
-        strict = diff.is_zero()
-        if prob is None:
-            prob = NullHomotopyProblem(diff.source, diff.target)
-        return SquareStatus(strict, prob.solve_for(diff))
-
-    left = status(left_diff, left_problem)
-    right = status(right_diff, right_problem)
-    ts = graded_trace(triple.on_sub)
-    tm = graded_trace(triple.on_middle)
-    tq = graded_trace(triple.on_quotient)
-    return AdditivityReport(left, right, ts, tm, tq, tm - ts - tq)
+    return _visible_squares(ses, triple, left_problem, right_problem)
 
 
 def connecting_square(ses: ShortExactSequence, on_sub: ChainMap,
@@ -354,10 +343,13 @@ def connecting_square(ses: ShortExactSequence, on_sub: ChainMap,
     """
     if delta is None:
         delta = connecting_map(ses)
-    diff = on_sub.shift(1) @ delta - delta @ on_quotient
-    if problem is None:
-        problem = NullHomotopyProblem(diff.source, diff.target)
-    return SquareStatus(diff.is_zero(), problem.solve_for(diff))
+    # u[1] delta - delta w, degree by degree: the shifted sub endo is
+    # u^(n+1) at degree n, so it is read off u without building u[1]
+    diff = ChainMap.build(delta.source, delta.target, {
+        n: on_sub.comp(n + 1) @ delta.comp(n)
+        - delta.comp(n) @ on_quotient.comp(n)
+        for n in delta.degrees()})
+    return _square(diff, problem)
 
 
 # ---------------------------------------------------------------------------

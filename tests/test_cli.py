@@ -2,6 +2,7 @@
 failed check or violation, 2 violation over a reduced ring, 64 usage,
 65 parse) over a small corpus of input files."""
 
+import os
 import subprocess
 import sys
 
@@ -168,6 +169,15 @@ def test_search_log_to_unwritable_path_is_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert f"usage error: cannot write {log}" in captured.err
     assert not log.exists()
+    # a full device opens fine and fails only when the lines are flushed;
+    # the case is skipped where there is no such device
+    if os.path.exists("/dev/full"):
+        code = cli.run(["search", "--ring", "Z/2", "--trials", "3",
+                        "--log", "/dev/full"])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert "usage error: cannot write /dev/full" in captured.err
 
 
 def test_search_clean_report(capsys):
@@ -194,16 +204,19 @@ def test_search_reduced_ring_violation_exits_two(monkeypatch, capsys):
 
 
 def test_module_entry_point(corpus):
+    # the child imports the package from src/, installed or not
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(
         [sys.executable, "-m", "chaintrace", "counterexample",
          "--ring", "Z/3[e]"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "defect = 2*e" in proc.stdout
     proc = subprocess.run(
         [sys.executable, "-m", "chaintrace", "trace",
          str(corpus / "triple.txt"), "--endo", "u"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "0\n"
 

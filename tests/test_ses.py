@@ -4,13 +4,25 @@ import random
 import pytest
 
 from chaintrace.complexes import ChainMap, ChainMapSpace, PerfectComplex
-from chaintrace.homotopy import Homotopy, graded_trace, perturb
+from chaintrace.generate import (
+    random_chain_endo,
+    random_extension,
+    random_strict_triple,
+)
+from chaintrace.homotopy import (
+    Homotopy,
+    NullHomotopyProblem,
+    find_null_homotopy,
+    graded_trace,
+    perturb,
+)
 from chaintrace.linalg import Matrix
 from chaintrace.rings import RingSpec
 from chaintrace.ses import (
     CocycleSpace,
     EndoTriple,
     ShortExactSequence,
+    SquareStatus,
     check_triple,
     connecting_map,
     connecting_square,
@@ -23,10 +35,32 @@ from chaintrace.ses import (
 Z4 = RingSpec(4)
 Z2E = RingSpec(2, True)
 Z3E = RingSpec(3, True)
+# rings where signs and non-unit scalars show
+SIGNED_RINGS = (Z4, RingSpec(6), Z2E, Z3E)
 
 
 def M(ring, rows):
     return Matrix.from_rows(ring, rows)
+
+
+def random_automorphism(rng, ring, n):
+    """A random invertible n x n matrix and its inverse, as a product of
+    elementary matrices each inverted on the other side."""
+    units = [x for x in ring.elements() if x.is_unit()]
+    p, p_inv = Matrix.identity(ring, n), Matrix.identity(ring, n)
+    for _ in range(3 * n):
+        i, k = rng.randrange(n), rng.randrange(n)
+        e = [[ring.element(int(a == b)) for b in range(n)] for a in range(n)]
+        e_inv = [row[:] for row in e]
+        if i == k:
+            c = rng.choice(units)
+            e[i][i], e_inv[i][i] = c, c.inverse()
+        else:
+            c = ring.from_index(rng.randrange(ring.cardinality))
+            e[i][k], e_inv[i][k] = c, -c
+        p = M(ring, e) @ p
+        p_inv = p_inv @ M(ring, e_inv)
+    return p, p_inv
 
 
 def two_step_extension(ring, x):
@@ -256,8 +290,6 @@ def test_cocycle_space_constrained_count_matches_brute_force():
 
 
 def test_prepared_problems_give_same_squares():
-    from chaintrace.homotopy import NullHomotopyProblem
-
     ses = two_step_extension(Z3E, Z3E.epsilon())
     lp = NullHomotopyProblem(ses.sub, ses.middle)
     rp = NullHomotopyProblem(ses.middle, ses.quotient)
@@ -304,6 +336,40 @@ def test_connecting_map_fallback_agrees_across_presentations():
         for w in ChainMapSpace(quo, quo).iter_all():
             assert (connecting_square(ses, u, w).holds
                     == connecting_square(ses2, u, w).holds)
+    # random degreewise automorphisms P of the middle: j' = P j,
+    # q' = q P^-1 and d' = P d P^-1 present the same sequence, so the two
+    # boundaries differ by a null-homotopic map
+    for ring in SIGNED_RINGS:
+        rng = random.Random(f"presentations {ring}")
+        for _ in range(8):
+            ses = random_extension(rng, ring, max_window=3, max_rank=2)
+            mid = ses.middle
+            if not any(mid.ranks):
+                continue  # no basis to change
+            while True:  # until P leaves the block form
+                ps = {n: random_automorphism(rng, ring, mid.rank(n))
+                      for n in mid.degrees()}
+                mid2 = PerfectComplex.build(
+                    ring, mid.lo, mid.ranks,
+                    {n: ps[n + 1][0] @ mid.diff(n) @ ps[n][1]
+                     for n in range(mid.lo, mid.hi)})
+                ses2 = ShortExactSequence(
+                    ses.sub, mid2, ses.quotient,
+                    ChainMap.build(ses.sub, mid2,
+                                   {n: ps[n][0] @ ses.inclusion.comp(n)
+                                    for n in mid.degrees()}),
+                    ChainMap.build(mid2, ses.quotient,
+                                   {n: ses.projection.comp(n) @ ps[n][1]
+                                    for n in mid.degrees()}))
+                try:
+                    extension_twist(ses2)
+                except ValueError:
+                    break
+            assert validate_ses(ses2)
+            delta2 = connecting_map(ses2)
+            assert delta2.validate()
+            assert find_null_homotopy(delta2 - connecting_map(ses)) \
+                is not None, ring
 
 
 def test_connecting_square_strict_when_both_outer_endos_vanish():
@@ -344,8 +410,6 @@ def test_connecting_square_blocks_two_square_impostors_over_a_field():
 
 
 def test_connecting_square_accepts_prepared_delta_and_problem():
-    from chaintrace.homotopy import NullHomotopyProblem
-
     ses = two_step_extension(Z4, Z4.element(2))
     delta = connecting_map(ses)
     prob = NullHomotopyProblem(ses.quotient, ses.sub.shift(1))
@@ -354,3 +418,33 @@ def test_connecting_square_accepts_prepared_delta_and_problem():
     a = connecting_square(ses, u, w)
     b = connecting_square(ses, u, w, delta=delta, problem=prob)
     assert a.strict and b.strict and a.holds == b.holds
+
+
+def test_connecting_square_matches_shifted_composite():
+    # the reference evaluates the square through the shifted sub endo,
+    # u[1] delta - delta w, against the same prepared problem.  Only
+    # sequences with a nonzero boundary count, and the outer endos of
+    # strict triples add squares that hold with a witness.
+    for ring in SIGNED_RINGS:
+        rng = random.Random(f"connecting square {ring}")
+        held = glued = 0
+        while glued < 8:
+            ses = random_extension(rng, ring, max_window=3, max_rank=2)
+            delta = connecting_map(ses)
+            if delta.is_zero():
+                continue
+            glued += 1
+            prob = NullHomotopyProblem(ses.quotient, ses.sub.shift(1))
+            pairs = [(random_chain_endo(rng, ses.sub),
+                      random_chain_endo(rng, ses.quotient))]
+            for _ in range(2):
+                strict = random_strict_triple(rng, ses)
+                if strict is not None:
+                    pairs.append((strict.on_sub, strict.on_quotient))
+            for u, w in pairs:
+                diff = u.shift(1) @ delta - delta @ w
+                want = SquareStatus(diff.is_zero(), prob.solve_for(diff))
+                assert connecting_square(ses, u, w, delta=delta,
+                                         problem=prob) == want, ring
+                held += want.holds
+        assert held, ring
