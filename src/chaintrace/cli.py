@@ -12,7 +12,8 @@ Exit codes: 0 when the run succeeds and every claim checked holds; 1
 for a failed validation or a violation found; 2 when a search over a
 REDUCED ring finds a violation (which no run has ever produced — treat
 the inputs as precious if you see it); 64 for usage errors; 65 for
-parse errors.
+parse errors; 70 for an internal error (any other exception, reported
+as one line on stderr instead of a traceback).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ FAIL = 1
 FALSIFIED = 2
 USAGE = 64
 PARSE = 65
+INTERNAL = 70
 
 
 class UsageError(Exception):
@@ -394,6 +396,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except CeilingExceededError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
+    except Exception as exc:
+        # a bug, not a verdict: exit 1 would read as "violation found"
+        print(f"internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return INTERNAL
 
 
 def main() -> None:

@@ -302,6 +302,13 @@ def smith_normal_form(
     entry the pivot does not divide and repeat.  Entries are
     arbitrary-precision so nothing overflows.
 
+    The pivot is the first least-magnitude nonzero entry of the working
+    block in row-major order.  Two shortcuts keep that rule and so the
+    result to the bit: the scan stops at the first entry of magnitude 1,
+    which no later entry can undercut under the strict comparison, and
+    a pivot of magnitude 1 skips the divisibility sweep, which a unit
+    always passes.
+
     With a modulus, U and V are carried reduced mod modulus (entries in
     [0, modulus)) and U*a*V = S holds mod modulus.  S itself always stays
     exact: the pivot choice, the quotients and the divisibility test read
@@ -338,7 +345,9 @@ def smith_normal_form(
 
     t = 0
     while t < min(rows, cols):
-        # pick the smallest nonzero entry of the working block as pivot
+        # pick the first least-magnitude nonzero entry of the working
+        # block, in row-major order, as pivot; a unit cannot be beaten
+        # under the strict <, so the scan stops at the first one
         piv = None
         best = None
         for i in range(t, rows):
@@ -346,6 +355,10 @@ def smith_normal_form(
                 x = s[i][j]
                 if x and (best is None or abs(x) < best):
                     best, piv = abs(x), (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
         pi, pj = piv
@@ -385,17 +398,17 @@ def smith_normal_form(
             if not moved:
                 break
 
-        # divisibility: the pivot must divide everything that remains
+        # divisibility: the pivot must divide everything that remains;
+        # a unit divides everything, so its sweep is skipped
         p = s[t][t]
-        dirty = False
-        for i in range(t + 1, rows):
-            if any(s[i][j] % p for j in range(t + 1, cols)):
-                row_sub(s, t, i, -1)   # row_t += row_i
-                row_sub(u, t, i, -1, modulus)
-                dirty = True
-                break
-        if dirty:
-            continue
+        if abs(p) != 1:
+            bad = next((i for i in range(t + 1, rows)
+                        if any(s[i][j] % p for j in range(t + 1, cols))),
+                       None)
+            if bad is not None:
+                row_sub(s, t, bad, -1)   # row_t += row_bad
+                row_sub(u, t, bad, -1, modulus)
+                continue
         t += 1
 
     for i in range(min(rows, cols)):
@@ -435,7 +448,10 @@ class LinearSolver:
     Only U mod m, V mod m and the diagonal mod m are read, so the SNF runs
     with its factors reduced mod m and every integer kept here lies in
     [0, m).  S itself is factored exactly, which fixes the pivots and so
-    the witnesses and the samples drawn.
+    the witnesses and the samples drawn.  The pivot is always the first
+    least-magnitude entry of the working block in row-major order; the
+    SNF's early exits at a unit pivot keep that rule, so they move no
+    witness and no sample.
     """
 
     def __init__(self, mat: Matrix):

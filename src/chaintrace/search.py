@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional
@@ -190,12 +191,28 @@ def iter_all_complexes(ring: RingSpec, *, max_window: int,
                        max_rank: int) -> Iterator[PerfectComplex]:
     """Every valid complex with window anchored at degree 0, each degree
     of rank at most max_rank, no duplicates (edge ranks nonzero)."""
+    return _iter_complexes(ring, max_window, max_rank, None)
+
+
+def _iter_complexes(ring: RingSpec, max_window: int, max_rank: int,
+                    ceiling: Optional[int]) -> Iterator[PerfectComplex]:
     for ranks in _rank_vectors(max_window, max_rank):
-        yield from _complexes_with_ranks(ring, ranks)
+        yield from _complexes_with_ranks(ring, ranks, ceiling)
 
 
-def _complexes_with_ranks(ring: RingSpec,
-                          ranks: tuple[int, ...]) -> Iterator[PerfectComplex]:
+def _ceiling_error(ceiling: int) -> CeilingExceededError:
+    return CeilingExceededError(
+        f"more than {ceiling} complexes in range; raise the ceiling or "
+        f"shrink the bounds")
+
+
+def _complexes_with_ranks(ring: RingSpec, ranks: tuple[int, ...],
+                          ceiling: Optional[int],
+                          ) -> Iterator[PerfectComplex]:
+    """The complexes with these ranks.  With a ceiling, a step whose
+    choices of differential alone outnumber it raises
+    CeilingExceededError before they are listed: each choice extends
+    to at least one complex (by zero differentials after it)."""
     n = len(ranks)
 
     def extend(i: int, prev: Matrix, acc: dict[int, Matrix]
@@ -206,9 +223,12 @@ def _complexes_with_ranks(ring: RingSpec,
         # rows of the next differential must pair to zero against the
         # columns of the previous one: sample the kernel of its transpose
         solver = LinearSolver(prev.transpose())
-        zero_rhs = [ring.zero()] * prev.cols
-        row_choices = list(solver.iter_solutions(zero_rhs))
         rows, cols = ranks[i + 1], ranks[i]
+        if ceiling is not None and solver.kernel_count ** rows > ceiling:
+            raise _ceiling_error(ceiling)
+        zero_rhs = [ring.zero()] * prev.cols
+        # zero rows have the one empty choice, however big the kernel
+        row_choices = list(solver.iter_solutions(zero_rhs)) if rows else []
         for combo in itertools.product(row_choices, repeat=rows):
             d = Matrix(ring, rows, cols,
                        tuple(x for row in combo for x in row))
@@ -245,28 +265,44 @@ def _pushed(space: ChainMapSpace, height: int,
 class _SesSystem:
     """One sequence K -> L -> M set up for its endo triples: the three
     endo spaces, the boundary map delta : M -> K[1], and a null-homotopy
-    problem per square (left K -> L, right L -> M, connecting M -> K[1])."""
+    problem per square (left K -> L, right L -> M, connecting M -> K[1]).
+
+    A strict square needs no factorisation, so each problem is built the
+    first time a square that is not strict, or `counts`, reads it; a
+    randomized trial whose squares all commute on the nose builds none.
+    """
 
     def __init__(self, ses: ShortExactSequence):
         self.ses = ses
         self.u_space = ChainMapSpace(ses.sub, ses.sub)
         self.v_space = ChainMapSpace(ses.middle, ses.middle)
         self.w_space = ChainMapSpace(ses.quotient, ses.quotient)
-        self.left_prob = NullHomotopyProblem(ses.sub, ses.middle)
-        self.right_prob = NullHomotopyProblem(ses.middle, ses.quotient)
         self.delta = connecting_map(ses)
-        self.conn_prob = NullHomotopyProblem(ses.quotient, ses.sub.shift(1))
+
+    @cached_property
+    def left_prob(self) -> NullHomotopyProblem:
+        return NullHomotopyProblem(self.ses.sub, self.ses.middle)
+
+    @cached_property
+    def right_prob(self) -> NullHomotopyProblem:
+        return NullHomotopyProblem(self.ses.middle, self.ses.quotient)
+
+    @cached_property
+    def conn_prob(self) -> NullHomotopyProblem:
+        return NullHomotopyProblem(self.ses.quotient, self.ses.sub.shift(1))
 
     def classify(self, triple: EndoTriple) -> Classified:
         """Decide the three squares of one triple, each with a witness,
         and its trace defect: the one per-triple check of every mode.
-        check_triple's squares and traces on the prepared problems,
-        without its endo validation (the endos come from the spaces),
-        plus connecting_square with the prepared delta and problem."""
-        report = _visible_squares(self.ses, triple, self.left_prob,
-                                  self.right_prob)
+        check_triple's squares and traces on the problems, without its
+        endo validation (the endos come from the spaces), plus
+        connecting_square with the prepared delta; each problem is
+        passed as a function, so a strict square does not build it."""
+        report = _visible_squares(self.ses, triple, lambda: self.left_prob,
+                                  lambda: self.right_prob)
         conn = connecting_square(self.ses, triple.on_sub, triple.on_quotient,
-                                 delta=self.delta, problem=self.conn_prob)
+                                 delta=self.delta,
+                                 problem=lambda: self.conn_prob)
         return self.ses, triple, report, conn
 
     def triples(self) -> Iterator[Classified]:
@@ -369,13 +405,11 @@ def _tally(classified: Iterable[Classified],
 
 def _bounded_complex_list(cfg: SearchConfig) -> list[PerfectComplex]:
     out: list[PerfectComplex] = []
-    for k in iter_all_complexes(cfg.ring, max_window=cfg.max_window,
-                                max_rank=cfg.max_rank):
+    for k in _iter_complexes(cfg.ring, cfg.max_window, cfg.max_rank,
+                             cfg.ceiling):
         out.append(k)
         if len(out) > cfg.ceiling:
-            raise CeilingExceededError(
-                f"more than {cfg.ceiling} complexes in range; raise the "
-                f"ceiling or shrink the bounds")
+            raise _ceiling_error(cfg.ceiling)
     return out
 
 

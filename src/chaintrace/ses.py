@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .complexes import (
     ChainMap,
@@ -213,8 +213,10 @@ class SquareStatus:
 
     `strict` means the two composites around the square agree on the
     nose; `witness` is a null-homotopy of their difference if one exists
-    (for a strict square that is the zero homotopy).  A square with
-    witness None does not even commute up to homotopy.
+    (for a strict square that is the zero homotopy, which is what the
+    solver would return for a zero right-hand side, so a strict square
+    is decided without building or factoring any problem).  A square
+    with witness None does not even commute up to homotopy.
     """
 
     strict: bool
@@ -258,19 +260,30 @@ class AdditivityReport:
         return self.squares_hold and not self.additive
 
 
-def _square(diff: ChainMap,
-            problem: Optional[NullHomotopyProblem]) -> SquareStatus:
-    """Decide one square from the difference of its two composites, with
-    a null-homotopy problem for diff's source and target (built here when
-    None)."""
+# a prepared null-homotopy problem, a function building it on first use,
+# or None for "build it here"
+ProblemArg = Union[NullHomotopyProblem, Callable[[], NullHomotopyProblem],
+                   None]
+
+
+def _square(diff: ChainMap, problem: ProblemArg) -> SquareStatus:
+    """Decide one square from the difference of its two composites.
+
+    A zero difference is strict with the zero homotopy, the witness the
+    solver gives for a zero right-hand side, so no problem is built or
+    solved.  Otherwise the null-homotopy problem for diff's source and
+    target decides it (see ProblemArg for how it is passed)."""
+    if diff.is_zero():
+        return SquareStatus(True, Homotopy.zero(diff.source, diff.target))
     if problem is None:
         problem = NullHomotopyProblem(diff.source, diff.target)
-    return SquareStatus(diff.is_zero(), problem.solve_for(diff))
+    elif not isinstance(problem, NullHomotopyProblem):
+        problem = problem()
+    return SquareStatus(False, problem.solve_for(diff))
 
 
 def _visible_squares(ses: ShortExactSequence, triple: EndoTriple,
-                     left_problem: Optional[NullHomotopyProblem],
-                     right_problem: Optional[NullHomotopyProblem],
+                     left_problem: ProblemArg, right_problem: ProblemArg,
                      ) -> AdditivityReport:
     """The two visible squares and the traces of a triple whose endos are
     known to be chain endomorphisms of their complexes."""
@@ -321,7 +334,7 @@ def connecting_square(ses: ShortExactSequence, on_sub: ChainMap,
                       on_quotient: ChainMap,
                       *,
                       delta: Optional[ChainMap] = None,
-                      problem: Optional[NullHomotopyProblem] = None,
+                      problem: ProblemArg = None,
                       ) -> SquareStatus:
     """The sequence's third square: the boundary map against the outer endos.
 
@@ -338,8 +351,9 @@ def connecting_square(ses: ShortExactSequence, on_sub: ChainMap,
     Only the outer endos enter; the middle one is irrelevant here.  Both
     keyword arguments exist for callers in hot loops: `delta` as returned
     by connecting_map(ses), `problem` a prepared null-homotopy problem
-    from the quotient to sub.shift(1).  Endos are assumed to be valid
-    chain endomorphisms (check_triple enforces that).
+    from the quotient to sub.shift(1), or a function returning one, which
+    is called only when the square is not strict.  Endos are assumed to
+    be valid chain endomorphisms (check_triple enforces that).
     """
     if delta is None:
         delta = connecting_map(ses)

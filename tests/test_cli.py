@@ -1,6 +1,6 @@
 """Command-line behaviour: outputs and the exit-code table (0 ok, 1
 failed check or violation, 2 violation over a reduced ring, 64 usage,
-65 parse) over a small corpus of input files."""
+65 parse, 70 internal error) over a small corpus of input files."""
 
 import os
 import subprocess
@@ -226,3 +226,25 @@ def test_usage_errors_go_to_stderr(corpus, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no endo named 'nope'" in captured.err
+
+
+def test_internal_error_exits_70_without_traceback(corpus, monkeypatch,
+                                                   capsys):
+    def broken(args):
+        raise RuntimeError("solver bug")
+    monkeypatch.setattr(cli, "_cmd_trace", broken)
+    assert run(corpus, "trace", "triple.txt", "--endo", "u") == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: solver bug\n"
+
+
+def test_huge_exhaustive_search_is_refused_quickly():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chaintrace", "search",
+         "--ring", "Z/1000003[e]", "--mode", "exhaustive"],
+        capture_output=True, text=True, env=env, timeout=15)
+    assert proc.returncode == 64
+    assert "usage error: more than 10000000 complexes" in proc.stderr

@@ -227,6 +227,145 @@ def test_reduced_factors_match_integer_factors():
     assert _check_reduced_snf(big, 4) > 1000
 
 
+# -- unit-pivot exits keep the factorisation bit for bit -----------------------
+
+
+def _reference_snf(a, modulus=None):
+    # smith_normal_form before its unit-pivot exits, verbatim: the
+    # oracle that the exits move no pivot, quotient or factor
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    s = [list(r) for r in a]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    # V is kept transposed, so its column operations are row operations
+    vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_sub(mat, i, t, q, mod=None):
+        # row_i -= q * row_t, reduced mod `mod` when one is given
+        mi, mt = mat[i], mat[t]
+        if mod is None:
+            for j in range(len(mi)):
+                mi[j] -= q * mt[j]
+        elif q % mod:
+            q %= mod
+            for j in range(len(mi)):
+                mi[j] = (mi[j] - q * mt[j]) % mod
+
+    def col_sub(mat, j, t, q):
+        for r in mat:
+            r[j] -= q * r[t]
+
+    def col_swap(mat, j, t):
+        for r in mat:
+            r[j], r[t] = r[t], r[j]
+
+    t = 0
+    while t < min(rows, cols):
+        # pick the smallest nonzero entry of the working block as pivot
+        piv = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = s[i][j]
+                if x and (best is None or abs(x) < best):
+                    best, piv = abs(x), (i, j)
+        if piv is None:
+            break
+        pi, pj = piv
+        if pi != t:
+            s[pi], s[t] = s[t], s[pi]
+            u[pi], u[t] = u[t], u[pi]
+        if pj != t:
+            col_swap(s, pj, t)
+            vt[pj], vt[t] = vt[t], vt[pj]
+
+        while True:
+            i = 0
+            while i < rows:
+                if i != t and s[i][t]:
+                    q = s[i][t] // s[t][t]
+                    row_sub(s, i, t, q)
+                    row_sub(u, i, t, q, modulus)
+                    if s[i][t]:
+                        # remainder is smaller than the pivot: promote it
+                        # and go on at row i, which now holds the old pivot
+                        # row; the rows before it are already clear
+                        s[i], s[t] = s[t], s[i]
+                        u[i], u[t] = u[t], u[i]
+                        continue
+                i += 1
+            moved = False
+            for j in range(cols):
+                if j != t and s[t][j]:
+                    q = s[t][j] // s[t][t]
+                    col_sub(s, j, t, q)
+                    row_sub(vt, j, t, q, modulus)
+                    if s[t][j]:
+                        col_swap(s, j, t)
+                        vt[j], vt[t] = vt[t], vt[j]
+                        moved = True
+                        break
+            if not moved:
+                break
+
+        # divisibility: the pivot must divide everything that remains
+        p = s[t][t]
+        dirty = False
+        for i in range(t + 1, rows):
+            if any(s[i][j] % p for j in range(t + 1, cols)):
+                row_sub(s, t, i, -1)   # row_t += row_i
+                row_sub(u, t, i, -1, modulus)
+                dirty = True
+                break
+        if dirty:
+            continue
+        t += 1
+
+    for i in range(min(rows, cols)):
+        if s[i][i] < 0:
+            for j in range(cols):
+                s[i][j] = -s[i][j]
+            row_sub(u, i, i, 2, modulus)   # row_i = -row_i
+    v = [list(col) for col in zip(*vt)]
+    return u, s, v
+
+
+def _unit_rich(rng, rows, cols):
+    return [[rng.choice((-1, 1, 0, 0, 2, -3, 5)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _unit_free(rng, rows, cols):
+    p = rng.choice((2, 3))
+    return [[p * rng.randrange(-4, 5) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _general(rng, rows, cols):
+    return [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_snf_unit_exits_match_reference():
+    # integer and mod-m factorisations equal the reference's on matrices
+    # rich in units, on unit-free ones (entries in 2Z or 3Z, where the
+    # divisibility sweep runs at every pivot), on general ones, on
+    # doubled Z/m[e] lifts, and on zero-row and zero-column shapes
+    rng = random.Random(71)
+    cases = [[], [[], []], [[0, 0, 0]], [[0], [0]], [[1]], [[2, 3]]]
+    for draw in (_unit_rich, _unit_free, _general):
+        for _ in range(40):
+            a = draw(rng, rng.randrange(1, 7), rng.randrange(1, 7))
+            cases.extend(_with_degenerate_variants(a))
+    for m in (2, 3, 4, 6, 9):
+        for _ in range(6):
+            cases.append(_int_lift(rng, m, rng.randrange(1, 5),
+                                   rng.randrange(1, 5), True))
+    for a in cases:
+        assert smith_normal_form(a) == _reference_snf(a)
+        for m in (4, 6, 9):
+            assert smith_normal_form(a, m) == _reference_snf(a, m)
+
+
 def test_solver_keeps_entries_below_modulus():
     rng = random.Random(8)
     cases = [random_matrix(rng, ring, rng.randrange(0, 5), rng.randrange(0, 5))

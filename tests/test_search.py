@@ -8,6 +8,8 @@ against `certify`.  They guard the enumeration and the linear system
 behind the counts against silent drift.
 """
 
+import time
+
 import pytest
 
 from chaintrace.complexes import ChainMap, PerfectComplex
@@ -231,6 +233,36 @@ def test_exhaustive_ceiling_blocks_oversized_runs():
     default = SearchConfig(Z4, max_window=2, max_rank=1, mode="exhaustive")
     with pytest.raises(CeilingExceededError):
         search_violation(default, log=lambda line: None)
+
+
+def test_exhaustive_refuses_huge_ring_before_enumerating():
+    # one rank-1 differential over Z/1000003[e] has 10^12 choices: the
+    # ceiling refuses them from their count, before listing any
+    cfg = SearchConfig(RingSpec(1000003, True), mode="exhaustive")
+    start = time.monotonic()
+    with pytest.raises(CeilingExceededError):
+        search_violation(cfg)
+    assert time.monotonic() - start < 5
+
+
+def test_strict_squares_build_no_problem():
+    names = ("left_prob", "right_prob", "conn_prob")
+    sub, quo = PerfectComplex.single(Z4, 1, 1), PerfectComplex.single(Z4, 0, 1)
+    system = _SesSystem(make_extension(sub, quo))
+    middle = system.ses.middle
+    zero = EndoTriple(ChainMap.zero(sub, sub), ChainMap.zero(middle, middle),
+                      ChainMap.zero(quo, quo))
+    _, _, report, conn = system.classify(zero)
+    assert report.left.strict and report.right.strict and conn.strict
+    assert not any(name in vars(system) for name in names)
+    # the counterexample's left square is not strict: only its problem is
+    # built, and the verdicts equal those on eagerly built problems
+    ses, triple, _ = build_counterexample(Z4)
+    lazy, eager = _SesSystem(ses), _SesSystem(ses)
+    for name in names:
+        getattr(eager, name)
+    assert lazy.classify(triple) == eager.classify(triple)
+    assert [name in vars(lazy) for name in names] == [True, False, False]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from chaintrace.complexes import ChainMap, ChainMapSpace, PerfectComplex
 from chaintrace.generate import (
     random_chain_endo,
+    random_complex,
     random_extension,
     random_strict_triple,
 )
@@ -18,6 +19,7 @@ from chaintrace.homotopy import (
 )
 from chaintrace.linalg import Matrix
 from chaintrace.rings import RingSpec
+from chaintrace.search import build_counterexample
 from chaintrace.ses import (
     CocycleSpace,
     EndoTriple,
@@ -301,6 +303,31 @@ def test_prepared_problems_give_same_squares():
     b = check_triple(ses, triple, left_problem=lp, right_problem=rp)
     assert a.defect == b.defect
     assert a.left.holds == b.left.holds and a.right.strict == b.right.strict
+
+
+def test_zero_homotopy_is_the_solved_witness_of_zero():
+    # a strict square reports Homotopy.zero without solving; that must be
+    # exactly the witness the solver returns for the zero map
+    rng = random.Random(37)
+    for ring in SIGNED_RINGS:
+        # both in degree 0: Hom(S, T) is empty in degree -1
+        pairs = [(PerfectComplex.single(ring, 0, 1),
+                  PerfectComplex.single(ring, 0, 2))]
+        for _ in range(12):
+            pairs.append(tuple(
+                random_complex(rng, ring, max_window=3, max_rank=2,
+                               lo=rng.randrange(-1, 2)) for _ in range(2)))
+        for s, t in pairs:
+            solved = NullHomotopyProblem(s, t).solve_for(ChainMap.zero(s, t))
+            assert Homotopy.zero(s, t) == solved
+
+
+def test_counterexample_squares_are_pinned():
+    ses, triple, witness = build_counterexample(Z3E)
+    report = check_triple(ses, triple)
+    assert report.left == SquareStatus(False, witness)
+    assert report.right == SquareStatus(
+        True, Homotopy.zero(ses.middle, ses.quotient))
 
 
 def test_connecting_map_of_block_extension_is_the_twist():
