@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import (Callable, ClassVar, Iterator, Mapping, Optional,
-                    Sequence, TypeVar)
+from typing import (Callable, ClassVar, Iterator, Mapping, NamedTuple,
+                    Optional, Sequence, TypeVar)
 
-from .linalg import LinearSolver, Matrix
+from .linalg import LinearSolver, Matrix, ShapeError
 from .rings import RingElem, RingSpec
 
 
@@ -352,8 +352,11 @@ def mapping_cone(f: ChainMap) -> PerfectComplex:
 # ---------------------------------------------------------------------------
 
 
+_Slots = list[tuple[int, int, int]]
+
+
 def _hom_slots(source: PerfectComplex, target: PerfectComplex,
-               k: int) -> list[tuple[int, int, int]]:
+               k: int) -> _Slots:
     """(n, rows, cols) for every nonzero block source^n -> target^(n+k),
     in ascending degree: the layout of a degree-k element of Hom."""
     slots = []
@@ -369,11 +372,79 @@ def _hom_d(source: PerfectComplex, target: PerfectComplex, k: int,
     """D(X)^n = d_tgt X^n - (-1)^k X^(n+1) d_src for the degree-k element
     X of Hom(source, target) whose block at n is comp(n), by matrix
     products, at each block of `_hom_slots(source, target, k + 1)` in
-    ascending degree.  HomComplex assembles the same map as rows."""
+    ascending degree.  `_hom_matrix` writes the same map as rows."""
     for n, _, _ in _hom_slots(source, target, k + 1):
         a = target.diff(n + k) @ comp(n)
         b = comp(n + 1) @ source.diff(n)
         yield n, (a + b if k % 2 else a - b)
+
+
+class _Term(NamedTuple):
+    """sign * f(n) X^(n+shift) if `left`, else sign * X^(n+shift) f(n), at
+    each equation block n, where X is unknown number `var`."""
+
+    var: int
+    f: Callable[[int], Matrix]
+    shift: int = 0
+    left: bool = True
+    sign: int = 1
+
+
+def _d_terms(source: PerfectComplex, target: PerfectComplex, k: int,
+             var: int = 0, sign: int = 1) -> list[_Term]:
+    """sign * D on unknown `var`, a degree-k element of Hom(source,
+    target): d_tgt X^n - (-1)^k X^(n+1) d_src, as two terms."""
+    return [_Term(var, lambda n: target.diff(n + k), 0, True, sign),
+            _Term(var, source.diff, 1, False, sign if k % 2 else -sign)]
+
+
+def _hom_matrix(ring: RingSpec, layouts: Sequence[_Slots],
+                block_rows: Sequence[tuple[_Slots, Sequence[_Term]]]
+                ) -> Matrix:
+    """The matrix of sums of `_Term`s, its rows written directly.
+
+    Columns are the unknowns' entries: one `_hom_slots` layout per
+    unknown, concatenated, each block row-major.  Each block row is an
+    equation layout and the terms summed into it, and gives one row per
+    entry of that sum, in the order of `HomComplex.flatten`."""
+    offsets: dict[tuple[int, int], tuple[int, int, int]] = {}
+    pos = 0
+    for var, slots in enumerate(layouts):
+        for n, r, c in slots:
+            offsets[var, n] = (pos, r, c)
+            pos += r * c
+    zero = ring.zero()
+    rows: list[list[RingElem]] = []
+    for eq_slots, terms in block_rows:
+        for n, er, ec in eq_slots:
+            block = [[zero] * pos for _ in range(er * ec)]
+            for var, f, shift, left, sign in terms:
+                slot = offsets.get((var, n + shift))
+                if slot is None:
+                    continue
+                base, r, c = slot
+                a = f(n)
+                want = (er, r, ec) if left else (c, ec, er)
+                if (a.rows, a.cols, c if left else r) != want:
+                    raise ShapeError(f"term on unknown {var} does not fit "
+                                     f"the equation block at degree {n}")
+                for idx, x in enumerate(a.entries):
+                    if not x:
+                        continue
+                    p, l = divmod(idx, a.cols)
+                    x = x if sign > 0 else -x
+                    # a cell still holding `zero` takes x without an add
+                    if left:      # f[p, l] X[l, j] adds to row (p, j)
+                        for j in range(ec):
+                            row, col = block[p * ec + j], base + l * ec + j
+                            row[col] = x if row[col] is zero else row[col] + x
+                    else:         # X[i, p] f[p, l] adds to row (i, l)
+                        for i in range(er):
+                            row, col = block[i * ec + l], base + i * c + p
+                            row[col] = x if row[col] is zero else row[col] + x
+            rows.extend(block)
+    entries = [x for row in rows for x in row]
+    return Matrix(ring, len(rows), pos, tuple(entries))
 
 
 class HomComplex:
@@ -393,38 +464,13 @@ class HomComplex:
         if source.ring != target.ring:
             raise ValueError("Hom needs a common ring")
         self.source, self.target = source, target
-        ring = source.ring
         self.var_slots = _hom_slots(source, target, k)
         self.eq_slots = _hom_slots(source, target, k + 1)
-        offsets: dict[int, int] = {}
-        pos = 0
-        for n, r, c in self.var_slots:
-            offsets[n] = pos
-            pos += r * c
-        self.n_vars = pos
-        rows: list[list[RingElem]] = []
-        zero = ring.zero()
-        odd = k % 2
-        for n, er, ec in self.eq_slots:
-            dt, ds = target.diff(n + k), source.diff(n)
-            for i in range(er):
-                for j in range(ec):
-                    row = [zero] * pos
-                    if n in offsets:                   # d_tgt X^n
-                        base = offsets[n]
-                        for l in range(target.rank(n + k)):
-                            row[base + l * ec + j] = dt.entry(i, l)
-                    if n + 1 in offsets:               # -(-1)^k X^(n+1) d_src
-                        base = offsets[n + 1]
-                        cs = source.rank(n + 1)
-                        for l in range(cs):
-                            x = ds.entry(l, j)
-                            row[base + i * cs + l] = x if odd else -x
-                    rows.append(row)
-        mat = (Matrix.from_rows(ring, rows) if rows
-               else Matrix.zero(ring, 0, pos))
+        mat = _hom_matrix(source.ring, [self.var_slots],
+                          [(self.eq_slots, _d_terms(source, target, k))])
+        self.n_vars = mat.cols
         self.solver = LinearSolver(mat)
-        self._zero_rhs = [zero] * mat.rows
+        self._zero_rhs = [source.ring.zero()] * mat.rows
 
     @property
     def count(self) -> int:

@@ -55,11 +55,14 @@ from .complexes import (
     PerfectComplex,
     Validation,
     _VALID,
+    _Term,
+    _d_terms,
+    _hom_matrix,
 )
 from .generate import random_cocycle, random_complex
-from .homotopy import NullHomotopyProblem, graded_trace
+from .homotopy import NullHomotopyProblem
 from .linalg import LinearSolver, Matrix
-from .rings import RingElem, RingSpec
+from .rings import RingSpec
 from .ses import (
     AdditivityReport,
     CocycleSpace,
@@ -247,21 +250,6 @@ Classified = tuple[ShortExactSequence, EndoTriple, AdditivityReport,
                    SquareStatus]
 
 
-def _pushed(space: ChainMapSpace, height: int,
-            image: Callable[[ChainMap], list[RingElem]]) -> Matrix:
-    """The matrix of a linear function of the maps in `space`'s layout:
-    column i is image(e_i), e_i the map with a single 1 at unknown i
-    (not a chain map in general; `image` only needs it to be linear)."""
-    ring = space.source.ring
-    cols: list[RingElem] = []
-    for i in range(space.n_vars):
-        unit = [ring.zero()] * space.n_vars
-        unit[i] = ring.one()
-        e = ChainMap.build(space.source, space.target, space.to_blocks(unit))
-        cols.extend(image(e))
-    return Matrix(ring, space.n_vars, height, tuple(cols)).transpose()
-
-
 class _SesSystem:
     """One sequence K -> L -> M set up for its endo triples: the three
     endo spaces, the boundary map delta : M -> K[1], and a null-homotopy
@@ -320,6 +308,39 @@ class _SesSystem:
                 return ses, triple, report
         return None
 
+    def matrix(self) -> Matrix:
+        """B of `counts` with the defect row last: block rows D(u), D(v),
+        D(w) and each square's difference minus D(h), in (u, v, w, h_L,
+        h_R, h_C), all written by `_hom_matrix`."""
+        ring = self.ses.ring
+        j, q, delta = self.ses.inclusion, self.ses.projection, self.delta
+        spaces = (self.u_space, self.v_space, self.w_space)
+        probs = (self.left_prob, self.right_prob, self.conn_prob)
+        # unknowns 0..2 are u, v, w and 3..5 the homotopies h_L, h_R, h_C;
+        # the squares' differences are v j - j u, q v - w q, u[1] delta -
+        # delta w
+        squares = ([_Term(1, j.comp, left=False), _Term(0, j.comp, sign=-1)],
+                   [_Term(1, q.comp), _Term(2, q.comp, left=False, sign=-1)],
+                   [_Term(0, delta.comp, shift=1, left=False),
+                    _Term(2, delta.comp, sign=-1)])
+        block_rows = [(s.eq_slots, _d_terms(s.source, s.target, 0, i))
+                      for i, s in enumerate(spaces)]
+        block_rows += [(p.eq_slots,
+                        terms + _d_terms(p.source, p.target, -1, 3 + i, -1))
+                       for i, (p, terms) in enumerate(zip(probs, squares))]
+        b = _hom_matrix(ring, [x.var_slots for x in (*spaces, *probs)],
+                        block_rows)
+        # tr v - tr u - tr w: +-(-1)^n on the diagonals of the endo blocks
+        defect = [ring.zero()] * b.cols
+        pos = 0
+        for sign, space in zip((-1, 1, -1), spaces):
+            for n, r, _ in space.var_slots:
+                x = ring.element(-sign if n % 2 else sign)
+                for i in range(r):
+                    defect[pos + i * r + i] = x
+                pos += r * r
+        return Matrix(ring, b.rows + 1, b.cols, b.entries + tuple(defect))
+
     def counts(self) -> tuple[int, int]:
         """(examined, violations) over all triples, visiting none.
 
@@ -330,53 +351,22 @@ class _SesSystem:
             v j - j u = D(h_L),  q v - w q = D(h_R),
             u[1] delta - delta w = D(h_C),
 
-        and the additive ones solve B plus the row tr v - tr u - tr w.
-        The homotopies of one triple form a coset of the three problems'
-        homotopy cycles Z^-1, so each kernel is exactly
-        |Z^-1_L| |Z^-1_R| |Z^-1_C| times its triple count.
+        and the additive ones solve B plus the row tr v - tr u - tr w,
+        both written by `matrix` from these terms.  The homotopies of one
+        triple form a coset of the three problems' homotopy cycles Z^-1,
+        so each kernel is exactly |Z^-1_L| |Z^-1_R| |Z^-1_C| times its
+        triple count.
         """
-        ring = self.ses.ring
-        j, q, delta = self.ses.inclusion, self.ses.projection, self.delta
-        spaces = (self.u_space, self.v_space, self.w_space)
-        probs = (self.left_prob, self.right_prob, self.conn_prob)
-        # each block row of B as {unknown: block}, absent blocks zero;
-        # unknowns 0..2 are u, v, w and 3..5 the homotopies h_L, h_R, h_C
-        rows: list[dict[int, Matrix]] = [
-            {i: s.solver.mat} for i, s in enumerate(spaces)]
-        # the terms of each square's difference, by unknown
-        squares = ({0: lambda e: -(j @ e), 1: lambda e: e @ j},
-                   {1: lambda e: q @ e, 2: lambda e: -(e @ q)},
-                   {0: lambda e: e.shift(1) @ delta,
-                    2: lambda e: -(delta @ e)})
-        for k, (prob, terms) in enumerate(zip(probs, squares)):
-            d = prob.solver.mat
-            row = {3 + k: -d}
-            for i, term in terms.items():
-                row[i] = _pushed(spaces[i], d.rows,
-                                 lambda e: prob.flatten(term(e).comp))
-            rows.append(row)
-        defect = (lambda e: [-graded_trace(e)],
-                  lambda e: [graded_trace(e)],
-                  lambda e: [-graded_trace(e)])
-        defect_row = {i: _pushed(s, 1, term)
-                      for i, (s, term) in enumerate(zip(spaces, defect))}
-        unknowns = (*spaces, *probs)
-        fibre = prod(p.count for p in probs)
-
-        def solving(block_rows: list[dict[int, Matrix]]) -> int:
-            grid = [[row[i] if i in row else
-                     Matrix.zero(ring, next(iter(row.values())).rows,
-                                 x.n_vars)
-                     for i, x in enumerate(unknowns)] for row in block_rows]
-            count, rest = divmod(
-                LinearSolver(Matrix.block(grid)).kernel_count, fibre)
-            if rest:
-                raise RuntimeError("kernel count is not a multiple of the "
-                                   "homotopy cycles; solver bug")
-            return count
-
-        examined = solving(rows)
-        return examined, examined - solving(rows + [defect_row])
+        fibre = prod(p.count for p in (self.left_prob, self.right_prob,
+                                       self.conn_prob))
+        full = self.matrix()
+        b = Matrix(full.ring, full.rows - 1, full.cols,
+                   full.entries[:(full.rows - 1) * full.cols])
+        examined, additive = (LinearSolver(m).kernel_count for m in (b, full))
+        if examined % fibre or additive % fibre:
+            raise RuntimeError("kernel count is not a multiple of the "
+                               "homotopy cycles; solver bug")
+        return examined // fibre, (examined - additive) // fibre
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +433,16 @@ def _exhaustive_budget(cfg: SearchConfig, all_cs: list[PerfectComplex],
     return total
 
 
+def _generated_system(ses: ShortExactSequence) -> _SesSystem:
+    """The system of a sequence built by make_extension, which is valid
+    by construction: a failing one is a bug, not a sequence to skip."""
+    check = validate_ses(ses)
+    if not check:
+        raise RuntimeError(f"generated sequence fails validation: "
+                           f"{check.message}; construction bug")
+    return _SesSystem(ses)
+
+
 def _search_exhaustive(cfg: SearchConfig,
                        log: Optional[LogLine]) -> SearchOutcome:
     # budget pass first: streams the same skeletons without doing work.
@@ -451,8 +451,7 @@ def _search_exhaustive(cfg: SearchConfig,
     # endo-space sizes, though the kernel counts enumerate none of them
     all_cs = _bounded_complex_list(cfg)
     _exhaustive_budget(cfg, all_cs, per_triple=log is not None)
-    systems = (_SesSystem(ses) for ses in _iter_extensions(all_cs)
-               if validate_ses(ses))  # always valid by construction
+    systems = map(_generated_system, _iter_extensions(all_cs))
     if log is not None:
         return _tally((c for s in systems for c in s.triples()), log)
     examined = violations = 0

@@ -12,11 +12,14 @@ from chaintrace.complexes import (
     direct_sum,
     mapping_cone,
     _hom_d,
+    _hom_matrix,
+    _hom_slots,
+    _Term,
     validate_chain_map,
     validate_complex,
 )
 from chaintrace.generate import random_complex, random_matrix
-from chaintrace.linalg import Matrix
+from chaintrace.linalg import Matrix, ShapeError
 from chaintrace.rings import RingSpec
 
 Z4 = RingSpec(4)
@@ -307,6 +310,62 @@ def test_hom_differential_matches_hom_complex_rows():
                 cases += 1
                 non_cycles += any(not b.is_zero() for b in dx.values())
     assert cases == 800 and non_cycles >= 100
+
+
+def test_hom_matrix_terms_match_matrix_products():
+    """Every kind of term `_hom_matrix` writes, f X and X f at shift 0
+    and 1, negated and not, applied to random blocks of a degree-k
+    element X (mostly not cycles) equals the same term evaluated by
+    matrix products, block by block in the equation layout; a term
+    given twice counts twice."""
+    rng = random.Random(13)
+    nonzero = dict.fromkeys(itertools.product((True, False), (0, 1),
+                                              (1, -1)), 0)
+    for ring in (Z4, RingSpec(6), RingSpec(2, True), Z3E):
+        for _ in range(30):
+            src, tgt, other = (random_complex(rng, ring, max_window=4,
+                                              max_rank=2)
+                               for _ in range(3))
+            k = rng.randint(-1, 1)
+            slots = _hom_slots(src, tgt, k)
+            x = {n: random_matrix(rng, ring, r, c) for n, r, c in slots}
+            vec = [e for n, _, _ in slots for e in x[n].entries]
+
+            def block(n):
+                return x.get(n, Matrix.zero(ring, tgt.rank(n + k),
+                                            src.rank(n)))
+
+            for left, shift, sign in nonzero:
+                # f(n) X^(n+s) : src^(n+s) -> other^n, or
+                # X^(n+s) f(n) : other^n -> tgt^(n+s+k)
+                if left:
+                    eq = _hom_slots(src.shift(shift), other, 0)
+                    shape = lambda n: (other.rank(n),
+                                       tgt.rank(n + shift + k))
+                else:
+                    eq = _hom_slots(other, tgt, k + shift)
+                    shape = lambda n: (src.rank(n + shift), other.rank(n))
+                f = {n: random_matrix(rng, ring, *shape(n))
+                     for n, _, _ in eq}
+                term = _Term(0, f.__getitem__, shift, left, sign)
+                expect = []
+                for n, _, _ in eq:
+                    y = (f[n] @ block(n + shift) if left
+                         else block(n + shift) @ f[n])
+                    expect.extend((y if sign > 0 else -y).entries)
+                mat = _hom_matrix(ring, [slots], [(eq, [term])])
+                assert mat.apply(vec) == expect
+                # terms landing on the same entries add up
+                twice = _hom_matrix(ring, [slots], [(eq, [term, term])])
+                assert twice.apply(vec) == [y + y for y in expect]
+                nonzero[left, shift, sign] += any(expect)
+    assert min(nonzero.values()) >= 20, nonzero
+    # a term whose block does not compose with the unknown is refused
+    src = PerfectComplex.single(Z4, 0, 2)
+    with pytest.raises(ShapeError):
+        _hom_matrix(Z4, [_hom_slots(src, src, 0)], [(
+            _hom_slots(src, src, 0),
+            [_Term(0, lambda n: Matrix.zero(Z4, 1, 2))])])
 
 
 def test_homotopy_shapes():

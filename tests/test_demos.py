@@ -1,7 +1,10 @@
 """Each script in demos/ runs to completion against the package in src/
-and prints its headline result."""
+and prints its headline result, and the README's example session runs
+as written."""
 
+import doctest
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +26,14 @@ def test_demo_runs(script, expect):
                           capture_output=True, text=True, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout.splitlines()
+
+
+def test_readme_example_session():
+    # the pycon block alone: doctest.testfile would read the closing
+    # fence as part of the last expected output
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"```pycon\n(.*?)```", text, re.S).group(1)
+    test = doctest.DocTestParser().get_doctest(block, {}, "README.md",
+                                               "README.md", 0)
+    result = doctest.DocTestRunner().run(test)
+    assert result == doctest.TestResults(failed=0, attempted=6)

@@ -8,11 +8,15 @@ against `certify`.  They guard the enumeration and the linear system
 behind the counts against silent drift.
 """
 
+import random
 import time
 
 import pytest
 
-from chaintrace.complexes import ChainMap, PerfectComplex
+import chaintrace.search
+from chaintrace.complexes import (ChainMap, Homotopy, PerfectComplex,
+                                  Validation, _hom_d)
+from chaintrace.generate import random_cocycle, random_complex, random_element
 from chaintrace.homotopy import graded_trace, perturb
 from chaintrace.linalg import Matrix
 from chaintrace.rings import RingSpec
@@ -222,6 +226,69 @@ def test_closed_form_matches_slow_sweep_where_signs_matter():
                 == (slow.instances_examined, slow.violations_found)
                 == counts), ring
         assert system.first_violation() == slow.first_violation, ring
+
+
+def test_system_matrix_matches_products_on_random_blocks():
+    """B with its defect row (`_SesSystem.matrix`), applied to random
+    (u, v, w, h_L, h_R, h_C) that are mostly not cycles, equals D of each
+    endo, each square's difference minus D(h) and tr v - tr u - tr w,
+    evaluated by `_hom_d`, ChainMap products and `graded_trace`; on
+    sequences with delta != 0 and degree -1 unknowns in Hom(M, K[1]),
+    which the counterexample sequences above lack."""
+    rng = random.Random(14)
+    for ring in (Z4, RingSpec(6), Z2E, Z3E):
+        found = 0
+        while found < 5:
+            sub, quo = (random_complex(rng, ring, max_window=3, max_rank=2)
+                        for _ in range(2))
+            system = _SesSystem(
+                make_extension(sub, quo, random_cocycle(rng, sub, quo)))
+            if system.delta.is_zero() or not system.conn_prob.n_vars:
+                continue
+            found += 1
+            spaces = (system.u_space, system.v_space, system.w_space)
+            probs = (system.left_prob, system.right_prob, system.conn_prob)
+            vecs = [[random_element(rng, ring) for _ in range(x.n_vars)]
+                    for x in (*spaces, *probs)]
+            u, v, w = (ChainMap.build(s.source, s.target, s.to_blocks(vec))
+                       for s, vec in zip(spaces, vecs))
+            hs = [Homotopy.build(p.source, p.target, p.to_blocks(vec))
+                  for p, vec in zip(probs, vecs[3:])]
+            j, q = system.ses.inclusion, system.ses.projection
+            delta = system.delta
+            expect = []
+            for s, e in zip(spaces, (u, v, w)):
+                expect += s.flatten(dict(_hom_d(s.source, s.target, 0,
+                                                e.comp)).__getitem__)
+            squares = (v @ j - j @ u, q @ v - w @ q,
+                       u.shift(1) @ delta - delta @ w)
+            for p, diff, h in zip(probs, squares, hs):
+                dh = dict(_hom_d(p.source, p.target, -1, h.comp))
+                expect += p.flatten(lambda n: diff.comp(n) - dh[n])
+            expect.append(graded_trace(v) - graded_trace(u)
+                          - graded_trace(w))
+            got = system.matrix().apply([x for vec in vecs for x in vec])
+            assert got == expect, ring
+
+
+def test_invalid_generated_sequence_is_an_internal_error(monkeypatch):
+    # the exhaustive sweep builds only valid sequences; one that fails
+    # validation is a bug to report, never a sequence to skip silently
+    real = chaintrace.search.validate_ses
+    calls = []
+
+    def fails_once(ses):
+        calls.append(ses)
+        if len(calls) == 1:
+            return Validation(False, "exact", 0, "injected failure")
+        return real(ses)
+
+    monkeypatch.setattr(chaintrace.search, "validate_ses", fails_once)
+    cfg = SearchConfig(Z2, max_window=1, max_rank=1, mode="exhaustive")
+    with pytest.raises(RuntimeError, match="injected failure") as err:
+        search_violation(cfg)
+    assert not isinstance(err.value, CeilingExceededError)
+    assert len(calls) == 1
 
 
 def test_exhaustive_ceiling_blocks_oversized_runs():
