@@ -58,9 +58,9 @@ from .complexes import (
     _Term,
     _d_terms,
     _hom_matrix,
+    _hom_slots,
 )
-from .generate import random_cocycle, random_complex
-from .homotopy import NullHomotopyProblem
+from .generate import random_extension
 from .linalg import LinearSolver, Matrix
 from .rings import RingSpec
 from .ses import (
@@ -70,11 +70,10 @@ from .ses import (
     ShortExactSequence,
     SquareStatus,
     check_triple,
-    connecting_map,
     connecting_square,
     make_extension,
     validate_ses,
-    _visible_squares,
+    _SequenceSquares,
 )
 
 DEFAULT_CEILING = 10_000_000
@@ -250,48 +249,29 @@ Classified = tuple[ShortExactSequence, EndoTriple, AdditivityReport,
                    SquareStatus]
 
 
-class _SesSystem:
-    """One sequence K -> L -> M set up for its endo triples: the three
-    endo spaces, the boundary map delta : M -> K[1], and a null-homotopy
-    problem per square (left K -> L, right L -> M, connecting M -> K[1]).
-
-    A strict square needs no factorisation, so each problem is built the
-    first time a square that is not strict, or `counts`, reads it; a
-    randomized trial whose squares all commute on the nose builds none.
-    """
-
-    def __init__(self, ses: ShortExactSequence):
-        self.ses = ses
-        self.u_space = ChainMapSpace(ses.sub, ses.sub)
-        self.v_space = ChainMapSpace(ses.middle, ses.middle)
-        self.w_space = ChainMapSpace(ses.quotient, ses.quotient)
-        self.delta = connecting_map(ses)
+class _SesSystem(_SequenceSquares):
+    """One sequence's square context plus its three endo spaces, each
+    built on first use: `counts` builds no endo space, and a randomized
+    trial whose squares all commute on the nose builds no problem."""
 
     @cached_property
-    def left_prob(self) -> NullHomotopyProblem:
-        return NullHomotopyProblem(self.ses.sub, self.ses.middle)
+    def u_space(self) -> ChainMapSpace:
+        return ChainMapSpace(self.ses.sub, self.ses.sub)
 
     @cached_property
-    def right_prob(self) -> NullHomotopyProblem:
-        return NullHomotopyProblem(self.ses.middle, self.ses.quotient)
+    def v_space(self) -> ChainMapSpace:
+        return ChainMapSpace(self.ses.middle, self.ses.middle)
 
     @cached_property
-    def conn_prob(self) -> NullHomotopyProblem:
-        return NullHomotopyProblem(self.ses.quotient, self.ses.sub.shift(1))
+    def w_space(self) -> ChainMapSpace:
+        return ChainMapSpace(self.ses.quotient, self.ses.quotient)
 
     def classify(self, triple: EndoTriple) -> Classified:
         """Decide the three squares of one triple, each with a witness,
-        and its trace defect: the one per-triple check of every mode.
-        check_triple's squares and traces on the problems, without its
-        endo validation (the endos come from the spaces), plus
-        connecting_square with the prepared delta; each problem is
-        passed as a function, so a strict square does not build it."""
-        report = _visible_squares(self.ses, triple, lambda: self.left_prob,
-                                  lambda: self.right_prob)
-        conn = connecting_square(self.ses, triple.on_sub, triple.on_quotient,
-                                 delta=self.delta,
-                                 problem=lambda: self.conn_prob)
-        return self.ses, triple, report, conn
+        and its trace defect: the one per-triple check of every mode, as
+        check_triple and connecting_square but without endo validation."""
+        return (self.ses, triple, self.visible(triple),
+                self.connecting(triple.on_sub, triple.on_quotient))
 
     def triples(self) -> Iterator[Classified]:
         """Every triple, classified, in enumeration order: middle endo,
@@ -312,9 +292,10 @@ class _SesSystem:
         """B of `counts` with the defect row last: block rows D(u), D(v),
         D(w) and each square's difference minus D(h), in (u, v, w, h_L,
         h_R, h_C), all written by `_hom_matrix`."""
-        ring = self.ses.ring
-        j, q, delta = self.ses.inclusion, self.ses.projection, self.delta
-        spaces = (self.u_space, self.v_space, self.w_space)
+        ses, ring = self.ses, self.ses.ring
+        j, q, delta = ses.inclusion, ses.projection, self.delta
+        complexes = (ses.sub, ses.middle, ses.quotient)
+        endo_slots = [_hom_slots(k, k, 0) for k in complexes]
         probs = (self.left_prob, self.right_prob, self.conn_prob)
         # unknowns 0..2 are u, v, w and 3..5 the homotopies h_L, h_R, h_C;
         # the squares' differences are v j - j u, q v - w q, u[1] delta -
@@ -323,18 +304,18 @@ class _SesSystem:
                    [_Term(1, q.comp), _Term(2, q.comp, left=False, sign=-1)],
                    [_Term(0, delta.comp, shift=1, left=False),
                     _Term(2, delta.comp, sign=-1)])
-        block_rows = [(s.eq_slots, _d_terms(s.source, s.target, 0, i))
-                      for i, s in enumerate(spaces)]
+        block_rows = [(_hom_slots(k, k, 1), _d_terms(k, k, 0, i))
+                      for i, k in enumerate(complexes)]
         block_rows += [(p.eq_slots,
                         terms + _d_terms(p.source, p.target, -1, 3 + i, -1))
                        for i, (p, terms) in enumerate(zip(probs, squares))]
-        b = _hom_matrix(ring, [x.var_slots for x in (*spaces, *probs)],
+        b = _hom_matrix(ring, endo_slots + [p.var_slots for p in probs],
                         block_rows)
         # tr v - tr u - tr w: +-(-1)^n on the diagonals of the endo blocks
         defect = [ring.zero()] * b.cols
         pos = 0
-        for sign, space in zip((-1, 1, -1), spaces):
-            for n, r, _ in space.var_slots:
+        for sign, slots in zip((-1, 1, -1), endo_slots):
+            for n, r, _ in slots:
                 x = ring.element(-sign if n % 2 else sign)
                 for i in range(r):
                     defect[pos + i * r + i] = x
@@ -472,15 +453,10 @@ def _search_exhaustive(cfg: SearchConfig,
 
 
 def _random_triples(cfg: SearchConfig) -> Iterator[Classified]:
-    ring = cfg.ring
     for trial in range(cfg.trials):
         rng = Random(f"{cfg.seed}:{trial}")
-        sub = random_complex(rng, ring, max_window=cfg.max_window,
-                             max_rank=cfg.max_rank)
-        quo = random_complex(rng, ring, max_window=cfg.max_window,
-                             max_rank=cfg.max_rank)
-        ses = make_extension(sub, quo, random_cocycle(rng, sub, quo))
-        system = _SesSystem(ses)
+        system = _SesSystem(random_extension(
+            rng, cfg.ring, max_window=cfg.max_window, max_rank=cfg.max_rank))
         u = system.u_space.sample(rng)
         v = system.v_space.sample(rng)
         w = system.w_space.sample(rng)

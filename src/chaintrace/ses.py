@@ -24,8 +24,9 @@ bookkeeping artifacts — see `connecting_map` and `connecting_square`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional
 
 from .complexes import (
     ChainMap,
@@ -247,6 +248,9 @@ class AdditivityReport:
 
     @property
     def squares_hold(self) -> bool:
+        """Both visible squares, left and right, commute at least up to
+        homotopy.  The connecting square is not part of the report; a
+        search counts a triple only when it holds too."""
         return self.left.holds and self.right.holds
 
     @property
@@ -255,66 +259,79 @@ class AdditivityReport:
 
     @property
     def is_violation(self) -> bool:
-        """Both squares commute at least up to homotopy, yet the graded
-        traces fail to add up."""
+        """Both visible squares commute at least up to homotopy, yet the
+        graded traces fail to add up.  A search violation also needs the
+        connecting square (see connecting_square): without it, triples
+        over a field can pass this test."""
         return self.squares_hold and not self.additive
 
 
-# a prepared null-homotopy problem, a function building it on first use,
-# or None for "build it here"
-ProblemArg = Union[NullHomotopyProblem, Callable[[], NullHomotopyProblem],
-                   None]
+class _SequenceSquares:
+    """The squares of one sequence K -> L -> M, decided triple by triple
+    (endos assumed to be chain endomorphisms): the boundary map delta and
+    a null-homotopy problem per square, left K -> L, right L -> M and
+    connecting M -> K[1], each built the first time a square that is not
+    strict reads it."""
+
+    def __init__(self, ses: ShortExactSequence):
+        self.ses = ses
+
+    @cached_property
+    def delta(self) -> ChainMap:
+        return connecting_map(self.ses)
+
+    @cached_property
+    def left_prob(self) -> NullHomotopyProblem:
+        return NullHomotopyProblem(self.ses.sub, self.ses.middle)
+
+    @cached_property
+    def right_prob(self) -> NullHomotopyProblem:
+        return NullHomotopyProblem(self.ses.middle, self.ses.quotient)
+
+    @cached_property
+    def conn_prob(self) -> NullHomotopyProblem:
+        return NullHomotopyProblem(self.ses.quotient, self.ses.sub.shift(1))
+
+    def _square(self, diff: ChainMap, problem: str) -> SquareStatus:
+        """One square from the difference of its two composites; `problem`
+        names the attribute holding its null-homotopy problem."""
+        if diff.is_zero():
+            return SquareStatus(True, Homotopy.zero(diff.source, diff.target))
+        return SquareStatus(False, getattr(self, problem).solve_for(diff))
+
+    def visible(self, triple: EndoTriple) -> AdditivityReport:
+        """The two visible squares and the traces of a triple."""
+        u, v, w = triple.on_sub, triple.on_middle, triple.on_quotient
+        j, q = self.ses.inclusion, self.ses.projection
+        # both differences read "the composite through the middle endo,
+        # minus the other way around", so a witness h satisfies
+        # d h + h d = difference
+        left = self._square(v @ j - j @ u, "left_prob")
+        right = self._square(q @ v - w @ q, "right_prob")
+        tu, tv, tw = graded_trace(u), graded_trace(v), graded_trace(w)
+        return AdditivityReport(left, right, tu, tv, tw, tv - tu - tw)
+
+    def connecting(self, u: ChainMap, w: ChainMap) -> SquareStatus:
+        """u[1] delta - delta w, degree by degree: the shifted sub endo is
+        u^(n+1) at degree n, so it is read off u without building u[1]."""
+        delta = self.delta
+        diff = ChainMap.build(delta.source, delta.target, {
+            n: u.comp(n + 1) @ delta.comp(n) - delta.comp(n) @ w.comp(n)
+            for n in delta.degrees()})
+        return self._square(diff, "conn_prob")
 
 
-def _square(diff: ChainMap, problem: ProblemArg) -> SquareStatus:
-    """Decide one square from the difference of its two composites.
-
-    A zero difference is strict with the zero homotopy, the witness the
-    solver gives for a zero right-hand side, so no problem is built or
-    solved.  Otherwise the null-homotopy problem for diff's source and
-    target decides it (see ProblemArg for how it is passed)."""
-    if diff.is_zero():
-        return SquareStatus(True, Homotopy.zero(diff.source, diff.target))
-    if problem is None:
-        problem = NullHomotopyProblem(diff.source, diff.target)
-    elif not isinstance(problem, NullHomotopyProblem):
-        problem = problem()
-    return SquareStatus(False, problem.solve_for(diff))
-
-
-def _visible_squares(ses: ShortExactSequence, triple: EndoTriple,
-                     left_problem: ProblemArg, right_problem: ProblemArg,
-                     ) -> AdditivityReport:
-    """The two visible squares and the traces of a triple whose endos are
-    known to be chain endomorphisms of their complexes."""
-    u, v, w = triple.on_sub, triple.on_middle, triple.on_quotient
-    j, q = ses.inclusion, ses.projection
-    # both differences read "the composite through the middle endo, minus
-    # the other way around", so a witness h satisfies d h + h d = difference
-    left = _square(v @ j - j @ u, left_problem)
-    right = _square(q @ v - w @ q, right_problem)
-    tu, tv, tw = graded_trace(u), graded_trace(v), graded_trace(w)
-    return AdditivityReport(left, right, tu, tv, tw, tv - tu - tw)
-
-
-def check_triple(ses: ShortExactSequence, triple: EndoTriple,
-                 *,
-                 left_problem: Optional[NullHomotopyProblem] = None,
-                 right_problem: Optional[NullHomotopyProblem] = None,
-                 ) -> AdditivityReport:
-    """Measure one endomorphism triple against the sequence.
+def check_triple(ses: ShortExactSequence,
+                 triple: EndoTriple) -> AdditivityReport:
+    """Measure one endomorphism triple against the two visible squares.
 
     Checks that each endo really is a chain endomorphism of its complex
     (ValueError otherwise), then decides each square: strict when the
     two composites agree, otherwise commuting up to homotopy when the
     difference is null-homotopic, with the homotopy kept as a witness.
-    Trace arithmetic is reported regardless of the square verdicts.
-
-    Callers deciding many triples of one sequence can pass prepared
-    NullHomotopyProblem instances (sub->middle and middle->quotient), so
-    each factorisation is paid once per sequence; the search's
-    per-triple classifier decides its squares the same way.  The
-    sequence itself is not re-validated here.
+    Trace arithmetic is reported regardless of the square verdicts.  The
+    third square is connecting_square's.  The sequence itself is not
+    re-validated here.
     """
     pairs = ((triple.on_sub, ses.sub, "sub"),
              (triple.on_middle, ses.middle, "middle"),
@@ -327,15 +344,11 @@ def check_triple(ses: ShortExactSequence, triple: EndoTriple,
         if not v:
             raise ValueError(f"endo on {name} is not a chain map: "
                              f"{v.message}")
-    return _visible_squares(ses, triple, left_problem, right_problem)
+    return _SequenceSquares(ses).visible(triple)
 
 
 def connecting_square(ses: ShortExactSequence, on_sub: ChainMap,
-                      on_quotient: ChainMap,
-                      *,
-                      delta: Optional[ChainMap] = None,
-                      problem: ProblemArg = None,
-                      ) -> SquareStatus:
+                      on_quotient: ChainMap) -> SquareStatus:
     """The sequence's third square: the boundary map against the outer endos.
 
     The two visible squares never see how the sub and quotient endos
@@ -348,22 +361,11 @@ def connecting_square(ses: ShortExactSequence, on_sub: ChainMap,
     every reduced ring; a square-zero element in the ring is what lets
     all three hold with a nonzero defect.
 
-    Only the outer endos enter; the middle one is irrelevant here.  Both
-    keyword arguments exist for callers in hot loops: `delta` as returned
-    by connecting_map(ses), `problem` a prepared null-homotopy problem
-    from the quotient to sub.shift(1), or a function returning one, which
-    is called only when the square is not strict.  Endos are assumed to
-    be valid chain endomorphisms (check_triple enforces that).
+    Only the outer endos enter; the middle one is irrelevant here.  Endos
+    are assumed to be valid chain endomorphisms (check_triple enforces
+    that).
     """
-    if delta is None:
-        delta = connecting_map(ses)
-    # u[1] delta - delta w, degree by degree: the shifted sub endo is
-    # u^(n+1) at degree n, so it is read off u without building u[1]
-    diff = ChainMap.build(delta.source, delta.target, {
-        n: on_sub.comp(n + 1) @ delta.comp(n)
-        - delta.comp(n) @ on_quotient.comp(n)
-        for n in delta.degrees()})
-    return _square(diff, problem)
+    return _SequenceSquares(ses).connecting(on_sub, on_quotient)
 
 
 # ---------------------------------------------------------------------------

@@ -133,10 +133,10 @@ def parse_matrix(ring: RingSpec, text: str,
             if inner[i] != ",":
                 raise ParseError(where, "rows must be separated by commas")
             i += 1
-    if not rows or not rows[0]:
-        return Matrix.zero(ring, len(rows), 0)
     if any(len(r) != len(rows[0]) for r in rows):
         raise ParseError(where, "rows differ in length")
+    if not rows or not rows[0]:
+        return Matrix.zero(ring, len(rows), 0)
     return Matrix.from_rows(ring, rows)
 
 
@@ -400,8 +400,8 @@ def parse_document(text: str) -> Document:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
-        parser.handle(lineno, head, rest)
+        head, *rest = line.split(None, 1)
+        parser.handle(lineno, head, "".join(rest))
     return parser.finish()
 
 

@@ -1,0 +1,25 @@
+"""The benchmark's tracer still reaches every entry point it names, so a
+refactor that moves or deletes a traced function or method fails here
+instead of breaking traced benchmark runs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_tracer_installs_on_every_entry_point():
+    # in a subprocess: install() rebinds the package's functions and
+    # methods for the rest of the interpreter's life
+    code = ("from tracer import Tracer\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "print(tracer.unwrapped_leftovers())\n")
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

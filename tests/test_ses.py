@@ -19,7 +19,7 @@ from chaintrace.homotopy import (
 )
 from chaintrace.linalg import Matrix
 from chaintrace.rings import RingSpec
-from chaintrace.search import build_counterexample
+from chaintrace.search import _SesSystem, build_counterexample
 from chaintrace.ses import (
     CocycleSpace,
     EndoTriple,
@@ -291,20 +291,6 @@ def test_cocycle_space_constrained_count_matches_brute_force():
         assert validate_ses(make_extension(sub, quo, t))
 
 
-def test_prepared_problems_give_same_squares():
-    ses = two_step_extension(Z3E, Z3E.epsilon())
-    lp = NullHomotopyProblem(ses.sub, ses.middle)
-    rp = NullHomotopyProblem(ses.middle, ses.quotient)
-    v = ChainMap.build(ses.middle, ses.middle,
-                       {1: M(Z3E, [[Z3E.epsilon()]])})
-    triple = EndoTriple(ChainMap.zero(ses.sub, ses.sub), v,
-                        ChainMap.zero(ses.quotient, ses.quotient))
-    a = check_triple(ses, triple)
-    b = check_triple(ses, triple, left_problem=lp, right_problem=rp)
-    assert a.defect == b.defect
-    assert a.left.holds == b.left.holds and a.right.strict == b.right.strict
-
-
 def test_zero_homotopy_is_the_solved_witness_of_zero():
     # a strict square reports Homotopy.zero without solving; that must be
     # exactly the witness the solver returns for the zero map
@@ -436,20 +422,42 @@ def test_connecting_square_blocks_two_square_impostors_over_a_field():
     assert not connecting_square(ses2, u2, w2).holds
 
 
-def test_connecting_square_accepts_prepared_delta_and_problem():
-    ses = two_step_extension(Z4, Z4.element(2))
-    delta = connecting_map(ses)
-    prob = NullHomotopyProblem(ses.quotient, ses.sub.shift(1))
-    u = ChainMap.identity(ses.sub)
-    w = ChainMap.identity(ses.quotient)
-    a = connecting_square(ses, u, w)
-    b = connecting_square(ses, u, w, delta=delta, problem=prob)
-    assert a.strict and b.strict and a.holds == b.holds
+def test_square_context_reused_across_triples_matches_fresh_checks():
+    # one _SesSystem decides many triples of its sequence, each problem
+    # built once; every classification must equal a fresh check_triple
+    # plus connecting_square.  Only sequences with a nonzero boundary
+    # count: most random extensions have delta = 0.
+    for ring in SIGNED_RINGS:
+        rng = random.Random(f"square context {ring}")
+        glued = solved = 0
+        while glued < 6:
+            ses = random_extension(rng, ring, max_window=3, max_rank=2)
+            system = _SesSystem(ses)
+            if system.delta.is_zero():
+                continue
+            glued += 1
+            triples = [EndoTriple(system.u_space.sample(rng),
+                                  system.v_space.sample(rng),
+                                  system.w_space.sample(rng))
+                       for _ in range(3)]
+            for _ in range(2):
+                strict = random_strict_triple(rng, ses)
+                if strict is not None:
+                    triples.append(strict)
+            for triple in triples:
+                got = system.classify(triple)
+                want = (ses, triple, check_triple(ses, triple),
+                        connecting_square(ses, triple.on_sub,
+                                          triple.on_quotient))
+                assert got == want, ring
+                solved += sum(not s.strict and s.holds
+                              for s in (got[2].left, got[2].right, got[3]))
+        assert solved, ring
 
 
 def test_connecting_square_matches_shifted_composite():
     # the reference evaluates the square through the shifted sub endo,
-    # u[1] delta - delta w, against the same prepared problem.  Only
+    # u[1] delta - delta w, against its own null-homotopy problem.  Only
     # sequences with a nonzero boundary count, and the outer endos of
     # strict triples add squares that hold with a witness.
     for ring in SIGNED_RINGS:
@@ -471,7 +479,6 @@ def test_connecting_square_matches_shifted_composite():
             for u, w in pairs:
                 diff = u.shift(1) @ delta - delta @ w
                 want = SquareStatus(diff.is_zero(), prob.solve_for(diff))
-                assert connecting_square(ses, u, w, delta=delta,
-                                         problem=prob) == want, ring
+                assert connecting_square(ses, u, w) == want, ring
                 held += want.holds
         assert held, ring

@@ -69,8 +69,11 @@ def test_parse_and_format_matrix():
     assert m.entry(1, 1) == Z3E.epsilon()
     assert format_matrix(m) == "[[1,2],[0,e]]"
     assert parse_matrix(Z4, "[]") == Matrix.zero(Z4, 0, 0)
+    assert parse_matrix(Z4, "[[],[]]") == Matrix.zero(Z4, 2, 0)
     assert parse_matrix(Z4, " [ [ 1 , 2 ] ] ") == Matrix.from_rows(Z4, [[1, 2]])
-    for bad in ("[[1],[2,3]]", "[1,2]", "[[1]", "[[1]][2]]", "[[1];[2]]"):
+    # an empty first row must not hide the entries of later ones
+    for bad in ("[[1],[2,3]]", "[[],[1]]", "[[1],[]]", "[1,2]", "[[1]",
+                "[[1]][2]]", "[[1];[2]]"):
         with pytest.raises(ParseError):
             parse_matrix(Z4, bad)
 
@@ -110,6 +113,13 @@ def test_comments_and_whitespace_are_ignored():
     doc = parse_document(text)
     (k,) = doc.complexes.values()
     assert k.diff(0) == Matrix.from_rows(Z4, [[2]])
+
+
+def test_tabs_separate_directives_like_spaces():
+    ses, triple, _ = build_counterexample(Z3E)
+    text = ses_file(ses, triple=triple)
+    assert "\t" not in text
+    assert parse_document(text.replace(" ", "\t")) == parse_document(text)
 
 
 def test_ses_document_round_trip():
