@@ -25,6 +25,7 @@ from chaintrace.ses import (
     EndoTriple,
     ShortExactSequence,
     SquareStatus,
+    _SequenceSquares,
     check_triple,
     connecting_map,
     connecting_square,
@@ -291,6 +292,23 @@ def test_cocycle_space_constrained_count_matches_brute_force():
         assert validate_ses(make_extension(sub, quo, t))
 
 
+def test_prepared_problems_give_same_squares():
+    # a square context handed problems built elsewhere decides the visible
+    # squares exactly as check_triple's own context does
+    ses = two_step_extension(Z3E, Z3E.epsilon())
+    squares = _SequenceSquares(ses)
+    squares.left_prob = NullHomotopyProblem(ses.sub, ses.middle)
+    squares.right_prob = NullHomotopyProblem(ses.middle, ses.quotient)
+    v = ChainMap.build(ses.middle, ses.middle,
+                       {1: M(Z3E, [[Z3E.epsilon()]])})
+    triple = EndoTriple(ChainMap.zero(ses.sub, ses.sub), v,
+                        ChainMap.zero(ses.quotient, ses.quotient))
+    a = check_triple(ses, triple)
+    b = squares.visible(triple)
+    assert a.defect == b.defect
+    assert a.left.holds == b.left.holds and a.right.strict == b.right.strict
+
+
 def test_zero_homotopy_is_the_solved_witness_of_zero():
     # a strict square reports Homotopy.zero without solving; that must be
     # exactly the witness the solver returns for the zero map
@@ -420,6 +438,18 @@ def test_connecting_square_blocks_two_square_impostors_over_a_field():
         u2, ChainMap.zero(ses2.middle, ses2.middle), w2))
     assert rep2.squares_hold and rep2.is_violation
     assert not connecting_square(ses2, u2, w2).holds
+
+
+def test_connecting_square_accepts_prepared_delta_and_problem():
+    ses = two_step_extension(Z4, Z4.element(2))
+    squares = _SequenceSquares(ses)
+    squares.delta = connecting_map(ses)
+    squares.conn_prob = NullHomotopyProblem(ses.quotient, ses.sub.shift(1))
+    u = ChainMap.identity(ses.sub)
+    w = ChainMap.identity(ses.quotient)
+    a = connecting_square(ses, u, w)
+    b = squares.connecting(u, w)
+    assert a.strict and b.strict and a.holds == b.holds
 
 
 def test_square_context_reused_across_triples_matches_fresh_checks():
