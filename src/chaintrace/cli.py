@@ -362,7 +362,9 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--max-rank", type=int, default=1)
     p.add_argument("--max-window", type=int, default=2)
     p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING,
-                   help="refuse exhaustive runs bigger than this")
+                   help="refuse exhaustive runs with more complexes or "
+                        "sequences than this (with --log: sequences plus "
+                        "their triples)")
     p.add_argument("--log", metavar="PATH",
                    help="write one tab-separated record per classified "
                         "triple (index, squares, defect)")

@@ -266,30 +266,6 @@ def _berkowitz_det(mat: Matrix) -> RingElem:
 # ---------------------------------------------------------------------------
 
 
-def det_int(a: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (Bareiss fraction-free elimination)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def smith_normal_form(
     a: Sequence[Sequence[int]],
     modulus: Optional[int] = None,

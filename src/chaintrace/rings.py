@@ -8,7 +8,7 @@ arithmetic returns fresh elements and never mutates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator, Optional
 
 
@@ -16,18 +16,23 @@ class RingMismatchError(ValueError):
     """Operands belong to different rings."""
 
 
-def _prime_factors(m: int) -> dict[int, int]:
-    """Prime factorisation by trial division (moduli here are small)."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
+def _least_square_zero(m: int) -> int:
+    """The least x > 0 with x^2 = 0 mod m: the product of p^ceil(v/2) over
+    the prime powers p^v dividing m.  Trial division stops at the cube
+    root of the cofactor left over, which then has at most two prime
+    factors: it is 1, p, p^2 or pq, and only p^2 (a square) gives less
+    than itself, namely p."""
+    x, d = 1, 2
+    while d * d * d <= m:
+        if m % d == 0:
+            v = 0
+            while m % d == 0:
+                m //= d
+                v += 1
+            x *= d ** ((v + 1) // 2)
         d += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
+    r = isqrt(m)
+    return x * (r if r * r == m else m)
 
 
 @dataclass(frozen=True)
@@ -93,9 +98,7 @@ class RingSpec:
         """
         if self.has_epsilon:
             return self.epsilon()
-        x = 1
-        for p, v in _prime_factors(self.modulus).items():
-            x *= p ** ((v + 1) // 2)
+        x = _least_square_zero(self.modulus)
         if x == self.modulus:
             return None
         return self.element(x)

@@ -93,8 +93,8 @@ class SearchConfig:
     `max_window` bounds how many consecutive degrees a generated complex
     may occupy, `max_rank` the rank in each degree.  `trials` and `seed`
     drive randomized mode (each trial reseeds as f"{seed}:{trial}", so
-    outcomes do not depend on scheduling); `ceiling` bounds the number
-    of objects exhaustive mode may enumerate, measured upfront.
+    outcomes do not depend on scheduling); `ceiling` bounds exhaustive
+    mode's complexes and sequences, with a log also triples, upfront.
     """
 
     ring: RingSpec
@@ -395,17 +395,19 @@ def _iter_extensions(all_cs: list[PerfectComplex]
 
 def _exhaustive_budget(cfg: SearchConfig, all_cs: list[PerfectComplex],
                        *, per_triple: bool) -> int:
-    """Total object count the exhaustive run will enumerate; raises
-    CeilingExceededError as soon as the running total passes the
-    ceiling, so oversized configs are refused before real work."""
-    # one endo count per complex; a sequence's sub and quotient are
-    # entries of all_cs, its middle is new
-    n_endo = {k: ChainMapSpace(k, k).count for k in all_cs}
+    """Sequences to count, or per_triple each plus its triples; raises
+    CeilingExceededError once the running total passes the ceiling, so
+    oversized configs are refused before real work."""
+    if per_triple:
+        n_endo = {k: ChainMapSpace(k, k).count for k in all_cs}
+        charges = (1 + n_endo[s.sub] * n_endo[s.quotient]
+                   * ChainMapSpace(s.middle, s.middle).count
+                   for s in _iter_extensions(all_cs))
+    else:
+        charges = (CocycleSpace(k, m).count for k in all_cs for m in all_cs)
     total = 0
-    for ses in _iter_extensions(all_cs):
-        n_u, n_w = n_endo[ses.sub], n_endo[ses.quotient]
-        n_v = ChainMapSpace(ses.middle, ses.middle).count
-        total += 1 + (n_u * n_w * n_v if per_triple else n_u + n_w + n_v)
+    for charge in charges:
+        total += charge
         if total > cfg.ceiling:
             raise CeilingExceededError(
                 f"exhaustive enumeration needs more than "
@@ -426,10 +428,9 @@ def _generated_system(ses: ShortExactSequence) -> _SesSystem:
 
 def _search_exhaustive(cfg: SearchConfig,
                        log: Optional[LogLine]) -> SearchOutcome:
-    # budget pass first: streams the same skeletons without doing work.
-    # with a log, every triple is visited one by one, so the budget is
-    # counted per triple; without one it stays the sum of the three
-    # endo-space sizes, though the kernel counts enumerate none of them
+    # budget pass first.  with a log, every triple is visited one by
+    # one, so the budget is counted per triple; without one it is the
+    # number of sequences whose triples are counted
     all_cs = _bounded_complex_list(cfg)
     _exhaustive_budget(cfg, all_cs, per_triple=log is not None)
     systems = map(_generated_system, _iter_extensions(all_cs))

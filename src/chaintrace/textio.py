@@ -72,16 +72,18 @@ _BOTH = re.compile(r"^(-?\d+)([+-])(?:(\d+)\*)?e$")
 
 
 def parse_ring(text: str, *, where: Optional[int] = None) -> RingSpec:
-    """Read `Z/m` or `Z/m[e]`."""
+    """Read `Z/m` or `Z/m[e]`, with 2 <= m < 2^64."""
     s = "".join(text.split())
     m = _RING.match(s)
     if not m:
         raise ParseError(where, f"cannot read ring {text.strip()!r} "
                                 f"(expected Z/m or Z/m[e])")
-    modulus = int(m.group(1))
-    if modulus < 2:
-        raise ParseError(where, f"modulus must be at least 2, got {modulus}")
-    return RingSpec(modulus, bool(m.group(2)))
+    digits = m.group(1).lstrip("0") or "0"
+    # past 20 digits a modulus is past 2^64 (and int() may refuse it)
+    if len(digits) > 20 or not 2 <= int(digits) < 2 ** 64:
+        raise ParseError(where, f"modulus must be at least 2 and below "
+                                f"2^64, got {digits}")
+    return RingSpec(int(digits), bool(m.group(2)))
 
 
 def parse_element(ring: RingSpec, text: str,

@@ -5,6 +5,7 @@ failed check or violation, 2 violation over a reduced ring, 64 usage,
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -85,6 +86,8 @@ EXIT_TABLE = [
     (("search", "--ring", "Z/4", "--mode", "exhaustive",
       "--ceiling", "50"), 64),
     (("search", "--ring", "Z/4", "--trials", "-3"), 64),
+    (("search", "--ring", "Z/6", "--mode", "exhaustive", "--max-window", "1",
+      "--max-rank", "2"), 0),
     (("bridge", "--ring", "Z/7", "--matrix", "[[1,2],[3,4]]"), 0),
     (("bridge", "--ring", "Z/3[e]", "--matrix", "[[1]]"), 64),
     (("bridge", "--ring", "Z/7", "--matrix", "[[1,2]]"), 64),
@@ -248,3 +251,17 @@ def test_huge_exhaustive_search_is_refused_quickly():
         capture_output=True, text=True, env=env, timeout=15)
     assert proc.returncode == 64
     assert "usage error: more than 10000000 complexes" in proc.stderr
+
+
+def test_huge_modulus_is_decided_quickly_or_refused():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    for modulus, expected in ((10 ** 18 + 3, 1), (2 ** 64, 65)):
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "chaintrace", "counterexample",
+             "--ring", f"Z/{modulus}"],
+            capture_output=True, text=True, env=env, timeout=15)
+        assert proc.returncode == expected, proc.stderr
+        assert time.monotonic() - start < 5
+        assert "Traceback" not in proc.stderr

@@ -7,7 +7,6 @@ from chaintrace.linalg import (
     LinearSolver,
     Matrix,
     ShapeError,
-    det_int,
     image_count,
     kernel_count,
     smith_normal_form,
@@ -25,6 +24,31 @@ Z6 = RingSpec(6)
 Z9 = RingSpec(9)
 Z4E = RingSpec(4, True)
 Z9E = RingSpec(9, True)
+
+
+def det_int(a):
+    """Exact integer determinant (Bareiss fraction-free elimination), the
+    oracle that the Smith factors U and V are unimodular."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def M(ring, rows):

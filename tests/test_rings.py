@@ -143,6 +143,24 @@ def test_nilpotent_witness_values(ring, expected):
         assert x * x != ring.zero()
 
 
+def test_nilpotent_witness_matches_brute_force():
+    # the least positive x with x^2 = 0 mod m, or none below m
+    for m in range(2, 1500):
+        brute = next(x for x in range(1, m + 1) if x * x % m == 0)
+        w = RingSpec(m).nilpotent_witness()
+        assert (w is None if brute == m else w == RingSpec(m).element(brute))
+
+
+def test_nilpotent_witness_of_large_moduli():
+    # trial division stops at the cube root of the cofactor, so 19-digit
+    # moduli are decided quickly; a prime square keeps its prime
+    p = 1000003
+    assert RingSpec(p * p).nilpotent_witness() == RingSpec(p * p).element(p)
+    assert RingSpec(p * 999983).nilpotent_witness() is None
+    assert RingSpec(4 * p).nilpotent_witness() == RingSpec(4 * p).element(2 * p)
+    assert RingSpec(10 ** 18 + 3).nilpotent_witness() is None
+
+
 def test_nilpotent_witness_epsilon_and_reduced():
     assert Z3E.nilpotent_witness() == Z3E.epsilon()
     assert Z2E.nilpotent_witness() == Z2E.epsilon()

@@ -10,6 +10,7 @@ behind the counts against silent drift.
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -292,14 +293,43 @@ def test_invalid_generated_sequence_is_an_internal_error(monkeypatch):
 
 
 def test_exhaustive_ceiling_blocks_oversized_runs():
-    tight = SearchConfig(Z4, max_window=2, max_rank=1, mode="exhaustive",
-                         ceiling=1000)
-    with pytest.raises(CeilingExceededError):
-        search_violation(tight)
-    # and the logged sweep budgets per triple, which is far larger
+    # Z/4 w2r1 has 96 sequences: the closed form is charged one each
     default = SearchConfig(Z4, max_window=2, max_rank=1, mode="exhaustive")
     with pytest.raises(CeilingExceededError):
+        search_violation(replace(default, ceiling=95))
+    assert (search_violation(replace(default, ceiling=96))
+            == search_violation(default))
+    # and the logged sweep budgets per triple, which is far larger
+    with pytest.raises(CeilingExceededError):
         search_violation(default, log=lambda line: None)
+
+
+def test_default_ceiling_admits_a_large_closed_form_count():
+    # 9 sequences carrying over two billion triples: counted, not visited
+    cfg = SearchConfig(RingSpec(6), max_window=1, max_rank=2,
+                       mode="exhaustive")
+    assert search_violation(cfg) == SearchOutcome(0, None, 2_177_345_029)
+
+
+def test_closed_form_walks_the_extensions_once(monkeypatch):
+    # Z/3 w2r1: 5 complexes, 49 sequences, no violation.  The budget is
+    # taken from twist counts, so each extension is built once, for the
+    # sweep, and no endo space is factored at all
+    calls = {"make_extension": 0, "ChainMapSpace": 0}
+
+    def counting(name):
+        real = getattr(chaintrace.search, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(chaintrace.search, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    cfg = SearchConfig(Z3, max_window=2, max_rank=1, mode="exhaustive")
+    assert search_violation(cfg) == SearchOutcome(0, None, 20743)
+    assert calls == {"make_extension": 49, "ChainMapSpace": 0}
 
 
 def test_exhaustive_refuses_huge_ring_before_enumerating():

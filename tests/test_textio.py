@@ -41,6 +41,14 @@ def test_parse_ring():
             parse_ring(bad)
 
 
+def test_parse_ring_refuses_moduli_from_2_to_the_64():
+    assert parse_ring(f"Z/{2 ** 64 - 1}") == RingSpec(2 ** 64 - 1)
+    assert parse_ring("Z/007[e]") == RingSpec(7, True)
+    for bad in (f"Z/{2 ** 64}", f"Z/{2 ** 64}[e]", "Z/" + "9" * 5000):
+        with pytest.raises(ParseError, match="below 2\\^64"):
+            parse_ring(bad)
+
+
 def test_parse_element_forms():
     cases = [("0", (0, 0)), ("2", (2, 0)), ("-1", (2, 0)),
              ("e", (0, 1)), ("-e", (0, 2)), ("2*e", (0, 2)),
