@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 from .complexes import ChainMap, PerfectComplex
 from .detline import det_trace_bridge
 from .homotopy import are_homotopic, graded_trace
-from .rings import RingSpec
 from .search import (
     DEFAULT_CEILING,
     CeilingExceededError,
@@ -83,10 +82,6 @@ def _pick_endo(doc: Document, name: str) -> ChainMap:
         raise UsageError(f"no endo named {name!r} in the file "
                          f"(file has: {have})")
     return doc.endos[name]
-
-
-def _ring_arg(text: str) -> RingSpec:
-    return parse_ring(text)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +208,7 @@ def _cmd_additivity(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
-    ring = _ring_arg(args.ring)
+    ring = parse_ring(args.ring)
     try:
         ses, triple, witness = build_counterexample(ring)
     except ValueError as exc:
@@ -237,7 +232,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    ring = _ring_arg(args.ring)
+    ring = parse_ring(args.ring)
     try:
         cfg = SearchConfig(ring, max_window=args.max_window,
                            max_rank=args.max_rank, trials=args.trials,
@@ -289,7 +284,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_bridge(args: argparse.Namespace) -> int:
-    ring = _ring_arg(args.ring)
+    ring = parse_ring(args.ring)
     mat = parse_matrix(ring, args.matrix)
     if mat.rows != mat.cols:
         raise UsageError(f"the comparison needs a square matrix, "
@@ -389,15 +384,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             parser.print_usage(sys.stderr)
             return USAGE
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, CeilingExceededError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE
-    except CeilingExceededError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE
     except Exception as exc:
         # a bug, not a verdict: exit 1 would read as "violation found"
         print(f"internal error: {type(exc).__name__}: {exc}",

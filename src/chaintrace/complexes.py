@@ -4,7 +4,8 @@ Cohomological indexing throughout: the differential of degree n raises,
 d^n : C^n -> C^(n+1), and maps act on column vectors from the left.
 Degrees outside a complex's stored window are rank zero; accessors
 materialise correctly-shaped empty matrices there, so boundary cases
-never need special handling at call sites.
+never need special handling at call sites, and builders refuse any
+other block given there.
 
 Complexes built through `PerfectComplex.build` are normalised (zero-rank
 degrees trimmed from both ends), which makes dataclass equality agree
@@ -36,6 +37,18 @@ class Validation:
 
 
 _VALID = Validation(True)
+
+
+def _refuse_outside(noun: str, blocks: Mapping[int, Matrix],
+                    empty: Callable[[int], Matrix]) -> None:
+    """Refuse blocks given outside a stored window, where the only block
+    that fits is the empty one, empty(n): any other would be dropped."""
+    for n, f in blocks.items():
+        want = empty(n)
+        if f != want:
+            raise ValueError(f"{noun} at degree {n}, outside the window, "
+                             f"is {f.rows}x{f.cols} over {f.ring}, expected "
+                             f"{want.rows}x{want.cols} over {want.ring}")
 
 
 @dataclass(frozen=True)
@@ -78,11 +91,14 @@ class PerfectComplex:
         seq = []
         for i in range(len(ranks) - 1):
             n = lo + i
-            d = diffs.get(n)
+            d = diffs.pop(n, None)
             if d is None:
                 d = Matrix.zero(ring, ranks[i + 1], ranks[i])
             seq.append(d)
-        return cls(ring, lo, tuple(ranks), tuple(seq))
+        k = cls(ring, lo, tuple(ranks), tuple(seq))
+        if diffs:  # what is left lies outside the window
+            _refuse_outside("differential", diffs, k.diff)
+        return k
 
     @classmethod
     def single(cls, ring: RingSpec, degree: int, rank: int) -> "PerfectComplex":
@@ -150,18 +166,26 @@ class PerfectComplex:
                 f"ranks {list(self.ranks)}")
 
 
+def _upper_block(a: Matrix, t: Matrix, b: Matrix) -> Matrix:
+    """The block upper-triangular matrix [[a, t], [0, b]]."""
+    return Matrix.block([[a, t], [Matrix.zero(a.ring, b.rows, a.cols), b]])
+
+
+def _twisted_sum(a: PerfectComplex, b: PerfectComplex,
+                 twist: Callable[[int], Matrix]) -> PerfectComplex:
+    """a (+) b degreewise, with differential [[d_a, twist(n)], [0, d_b]]
+    at degree n, where twist(n) maps b^n to a^(n+1)."""
+    lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
+    ranks = [a.rank(n) + b.rank(n) for n in range(lo, hi + 1)]
+    return PerfectComplex.build(a.ring, lo, ranks, {
+        n: _upper_block(a.diff(n), twist(n), b.diff(n))
+        for n in range(lo, hi)})
+
+
 def direct_sum(a: PerfectComplex, b: PerfectComplex) -> PerfectComplex:
     if a.ring != b.ring:
         raise ValueError("direct sum needs a common ring")
-    lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
-    ranks = [a.rank(n) + b.rank(n) for n in range(lo, hi + 1)]
-    diffs = {}
-    for n in range(lo, hi):
-        diffs[n] = Matrix.block([
-            [a.diff(n), Matrix.zero(a.ring, a.rank(n + 1), b.rank(n))],
-            [Matrix.zero(a.ring, b.rank(n + 1), a.rank(n)), b.diff(n)],
-        ])
-    return PerfectComplex.build(a.ring, lo, ranks, diffs)
+    return _twisted_sum(a, b, ChainMap.zero(b, a.shift(1)).comp)
 
 
 _M = TypeVar("_M", bound="_HomMap")
@@ -195,10 +219,13 @@ class _HomMap:
         hi = max(source.hi, target.hi) - cls._k
         seq = []
         for n in range(lo, hi + 1):
-            f = comps.get(n)
+            f = comps.pop(n, None)
             if f is None:
                 f = cls._zero_block(source, target, n)
             seq.append(f)
+        if comps:  # what is left lies outside the window
+            _refuse_outside(f"{cls._noun} block", comps,
+                            lambda n: cls._zero_block(source, target, n))
         return cls(source, target, lo, tuple(seq))
 
     @classmethod

@@ -19,6 +19,7 @@ from .complexes import (
     Homotopy,
     PerfectComplex,
     _hom_slots,
+    _upper_block,
 )
 from .detline import NotAutomorphismError, det_of_automorphism
 from .linalg import LinearSolver, Matrix
@@ -148,14 +149,11 @@ class DiagonalFillerSystem(HomComplex):
 def assemble_block_endo(ses: ShortExactSequence, u: ChainMap, w: ChainMap,
                         filler: dict[int, Matrix]) -> ChainMap:
     """The endomorphism [[u, filler], [0, w]] of the middle complex."""
-    ring = ses.ring
+    ring, sub, quo = ses.ring, ses.sub, ses.quotient
     blocks = {}
     for n in ses.middle.degrees():
-        rs, rq = ses.sub.rank(n), ses.quotient.rank(n)
-        t = filler.get(n, Matrix.zero(ring, rs, rq))
-        blocks[n] = Matrix.block([
-            [u.comp(n), t],
-            [Matrix.zero(ring, rq, rs), w.comp(n)]])
+        t = filler.get(n, Matrix.zero(ring, sub.rank(n), quo.rank(n)))
+        blocks[n] = _upper_block(u.comp(n), t, w.comp(n))
     return ChainMap.build(ses.middle, ses.middle, blocks)
 
 

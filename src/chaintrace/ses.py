@@ -34,7 +34,8 @@ from .complexes import (
     PerfectComplex,
     Validation,
     _VALID,
-    _hom_d,
+    _hom_slots,
+    _twisted_sum,
 )
 from .homotopy import Homotopy, NullHomotopyProblem, graded_trace
 from .linalg import LinearSolver, Matrix
@@ -155,10 +156,11 @@ def connecting_map(ses: ShortExactSequence) -> ChainMap:
     """The boundary of the sequence: a chain map quotient -> sub.shift(1).
 
     For an extension in canonical block form this is the glueing twist,
-    read straight off the middle differential.  In general it lifts
-    through a degreewise section s of the projection: d_middle s - s
-    d_quotient lands in the kernel of the projection, which is the image
-    of the inclusion j, so delta is the unique solution of
+    read straight off the middle differential and checked as a chain map
+    (ValueError when the middle breaks its chain condition).  In general
+    it lifts through a degreewise section s of the projection: d_middle
+    s - s d_quotient lands in the kernel of the projection, which is the
+    image of the inclusion j, so delta is the unique solution of
 
         j^(n+1) delta^n = d_middle^n s^n - s^(n+1) d_quotient^n
 
@@ -167,10 +169,9 @@ def connecting_map(ses: ShortExactSequence) -> ChainMap:
     null-homotopy classes.  Assumes the sequence is valid (run
     validate_ses first when in doubt).
     """
-    target = ses.sub.shift(1)
     try:
-        comps = extension_twist(ses)
-    except ValueError:
+        twist = extension_twist(ses)
+    except ValueError:  # not in block form: solve for the boundary
         ring, mid, quo = ses.ring, ses.middle, ses.quotient
         section = find_section(ses)
         comps = {}
@@ -183,7 +184,9 @@ def connecting_map(ses: ShortExactSequence) -> ChainMap:
                 ses.inclusion.comp(n + 1),
                 mid.diff(n) @ section[n] - s_next @ quo.diff(n),
                 f"no boundary at degree {n}: is the sequence exact?")
-    delta = ChainMap.build(ses.quotient, target, comps)
+    else:
+        return _boundary(ses.sub, ses.quotient, twist)
+    delta = ChainMap.build(ses.quotient, ses.sub.shift(1), comps)
     check = delta.validate()
     if not check:
         raise RuntimeError(f"boundary map fails its chain condition at "
@@ -370,18 +373,39 @@ def connecting_square(ses: ShortExactSequence, on_sub: ChainMap,
 # ---------------------------------------------------------------------------
 
 
-def _twist_block(sub: PerfectComplex, quotient: PerfectComplex,
-                 twist: Mapping[int, Matrix], n: int) -> Matrix:
-    t = twist.get(n)
-    want = (sub.rank(n + 1), quotient.rank(n))
-    if t is None:
-        return Matrix.zero(sub.ring, *want)
-    if (t.rows, t.cols) != want:
-        raise ValueError(f"twist at degree {n} is {t.rows}x{t.cols}, "
-                         f"expected {want[0]}x{want[1]}")
-    if t.ring != sub.ring:
-        raise ValueError(f"twist at degree {n} lives over the wrong ring")
-    return t
+def _boundary(sub: PerfectComplex, quotient: PerfectComplex,
+              twist: Mapping[int, Matrix]) -> ChainMap:
+    """The twist as the chain map quotient -> sub.shift(1), the boundary
+    of the extension it glues: its chain condition is d_sub t + t d_quo
+    = 0.  ValueError naming the degree unless it is a valid chain map."""
+    try:
+        delta = ChainMap.build(quotient, sub.shift(1), twist)
+    except ValueError as exc:
+        raise ValueError(f"twist is not a boundary map: {exc}") from None
+    check = delta.validate()
+    if not check:
+        raise ValueError(f"twist is not a boundary map: {check.message}")
+    return delta
+
+
+def _block_maps(sub: PerfectComplex, quotient: PerfectComplex,
+                middle: PerfectComplex) -> tuple[ChainMap, ChainMap]:
+    """The block injection sub -> middle and projection middle ->
+    quotient of a middle laid out as sub (+) quotient: the first rank(sub)
+    columns and the last rank(quotient) rows of the identity."""
+    ring = sub.ring
+    one, zero = ring.one(), ring.zero()
+    inc, proj = {}, {}
+    for n in middle.degrees():
+        rs, r = sub.rank(n), sub.rank(n) + quotient.rank(n)
+        ident = [[one if i == j else zero for j in range(r)]
+                 for i in range(r)]
+        inc[n] = Matrix(ring, r, rs,
+                        tuple(x for row in ident for x in row[:rs]))
+        proj[n] = Matrix(ring, r - rs, r,
+                         tuple(x for row in ident[rs:] for x in row))
+    return (ChainMap.build(sub, middle, inc),
+            ChainMap.build(middle, quotient, proj))
 
 
 def make_extension(sub: PerfectComplex, quotient: PerfectComplex,
@@ -399,64 +423,22 @@ def make_extension(sub: PerfectComplex, quotient: PerfectComplex,
 
         d_sub^(n+1) twist^n + twist^(n+1) d_quo^n = 0
 
-    (checked here; ValueError when it fails — enumerate CocycleSpace to
-    get exactly the twists that pass).  The inclusion and projection are
-    the block injection and projection, so the sequence is exact by
-    construction.
+    that is, be the chain map quotient -> sub.shift(1) that is the
+    sequence's boundary (checked here; ValueError when it fails —
+    enumerate CocycleSpace to get exactly the twists that pass).  The
+    inclusion and projection are the block injection and projection,
+    so the sequence is exact by construction.
     """
     if sub.ring != quotient.ring:
         raise ValueError("extension needs a common ring")
-    ring = sub.ring
-    twist = dict(twist or {})
-    v = sub.validate()
-    if not v:
-        raise ValueError(f"sub complex invalid: {v.message}")
-    v = quotient.validate()
-    if not v:
-        raise ValueError(f"quotient complex invalid: {v.message}")
-
-    lo = min(sub.lo, quotient.lo)
-    hi = max(sub.hi, quotient.hi)
-    blocks: dict[int, Matrix] = {}
-
-    def block(n: int) -> Matrix:
-        # checks degrees lo - 1 .. n in order, so a bad block is reported
-        # before a failure of D(t) at any degree that reads it
-        for m in range(lo - 1 + len(blocks), n + 1):
-            blocks[m] = _twist_block(sub, quotient, twist, m)
-        return blocks[n]
-
-    # t must be a cycle of Hom(quotient, sub): D(t) = d_sub t + t d_quo = 0
-    for n, x in _hom_d(quotient, sub, 1, block):
-        if not x.is_zero():
-            raise ValueError(f"twist fails the compatibility equation "
-                             f"at degree {n}")
-    block(hi + 1)
-
-    ranks = [sub.rank(n) + quotient.rank(n) for n in range(lo, hi + 1)]
-    diffs = {}
-    for n in range(lo, hi):
-        diffs[n] = Matrix.block([
-            [sub.diff(n), block(n)],
-            [Matrix.zero(ring, quotient.rank(n + 1), sub.rank(n)),
-             quotient.diff(n)],
-        ])
-    middle = PerfectComplex.build(ring, lo, ranks, diffs)
-
-    inc = {}
-    proj = {}
-    for n in range(lo, hi + 1):
-        rs, rq = sub.rank(n), quotient.rank(n)
-        if rs:
-            inc[n] = Matrix.block([[Matrix.identity(ring, rs)],
-                                   [Matrix.zero(ring, rq, rs)]])
-        if rq:
-            proj[n] = Matrix.block([[Matrix.zero(ring, rq, rs),
-                                     Matrix.identity(ring, rq)]])
-    return ShortExactSequence(
-        sub, middle, quotient,
-        ChainMap.build(sub, middle, inc),
-        ChainMap.build(middle, quotient, proj))
+    for name, k in (("sub", sub), ("quotient", quotient)):
+        v = k.validate()
+        if not v:
+            raise ValueError(f"{name} complex invalid: {v.message}")
+    delta = _boundary(sub, quotient, twist or {})
+    middle = _twisted_sum(sub, quotient, delta.comp)
+    return ShortExactSequence(sub, middle, quotient,
+                              *_block_maps(sub, quotient, middle))
 
 
 def extension_twist(ses: ShortExactSequence) -> dict[int, Matrix]:
@@ -468,25 +450,14 @@ def extension_twist(ses: ShortExactSequence) -> dict[int, Matrix]:
     differential has no preferred meaning.
     """
     sub, mid, quo = ses.sub, ses.middle, ses.quotient
-    ring = ses.ring
-    lo, hi = min(sub.lo, quo.lo), max(sub.hi, quo.hi)
-    for n in range(lo, hi + 1):
-        rs, rq = sub.rank(n), quo.rank(n)
-        want_j = Matrix.block([[Matrix.identity(ring, rs)],
-                               [Matrix.zero(ring, rq, rs)]])
-        want_q = Matrix.block([[Matrix.zero(ring, rq, rs),
-                                Matrix.identity(ring, rq)]])
-        if ses.inclusion.comp(n) != want_j or ses.projection.comp(n) != want_q:
-            raise ValueError("extension is not in block form")
+    if (ses.inclusion, ses.projection) != _block_maps(sub, quo, mid):
+        raise ValueError("extension is not in block form")
     out = {}
-    for n in range(lo, hi):
-        rs_next, rq = sub.rank(n + 1), quo.rank(n)
-        if rs_next * rq:
-            d = mid.diff(n)
-            out[n] = Matrix(ring, rs_next, rq,
-                            tuple(d.entry(i, sub.rank(n) + j)
-                                  for i in range(rs_next)
-                                  for j in range(rq)))
+    for n, r, c in _hom_slots(quo, sub, 1):
+        d = mid.diff(n)
+        out[n] = Matrix(ses.ring, r, c, tuple(d.entry(i, sub.rank(n) + j)
+                                            for i in range(r)
+                                            for j in range(c)))
     return out
 
 

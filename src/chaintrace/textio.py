@@ -143,11 +143,7 @@ def parse_matrix(ring: RingSpec, text: str,
 
 
 def format_matrix(m: Matrix) -> str:
-    if m.rows == 0:
-        return "[]"
-    return "[" + ",".join(
-        "[" + ",".join(str(m.entry(i, j)) for j in range(m.cols)) + "]"
-        for i in range(m.rows)) + "]"
+    return str(m)
 
 
 # ---------------------------------------------------------------------------

@@ -378,3 +378,22 @@ def test_homotopy_shapes():
     assert (h.comp(2).rows, h.comp(2).cols) == (1, 0)
     bad = Homotopy(k, l, 0, (Matrix.zero(Z3E, 3, 3),))
     assert not bad.validate()
+
+
+def test_builders_refuse_misshapen_blocks_outside_the_window():
+    # outside its stored window a builder used to drop any block silently
+    k = PerfectComplex.single(Z4, 0, 2)
+    bad = M(Z4, [[1, 2], [3, 1]])
+    for build in (ChainMap.build, Homotopy.build):
+        with pytest.raises(ValueError, match="degree 5"):
+            build(k, k, {5: bad})
+        with pytest.raises(ValueError, match="degree 5"):
+            build(k, k, {5: Matrix.zero(RingSpec(2), 0, 0)})
+        assert build(k, k, {5: Matrix.zero(Z4, 0, 0)}) == build(k, k)
+    with pytest.raises(ValueError, match="degree 5"):
+        PerfectComplex.build(Z4, 0, [1], {5: M(Z4, [[1, 2]])})
+    # a differential trimmed off with its zero-rank degree is still fine
+    trimmed = PerfectComplex.build(Z4, 0, [0, 1], {0: Matrix.zero(Z4, 1, 0)})
+    assert trimmed == PerfectComplex.single(Z4, 1, 1)
+    with pytest.raises(ValueError, match="degree 0"):
+        PerfectComplex.build(Z4, 0, [0, 1], {0: Matrix.zero(Z4, 2, 0)})

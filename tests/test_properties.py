@@ -1,0 +1,110 @@
+"""Properties of twists, boundary maps and the text format over random
+small complexes, checked with hypothesis.
+
+Every test runs derandomized and without an example database, so the
+suite stays deterministic, and hypothesis keeps its other files in a
+temporary directory, so no `.hypothesis/` directory is left behind.
+"""
+
+import random
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from chaintrace.complexes import ChainMap, ChainMapSpace, _hom_d
+from chaintrace.generate import random_complex, random_matrix
+from chaintrace.linalg import Matrix
+from chaintrace.rings import RingSpec
+from chaintrace.ses import (
+    CocycleSpace,
+    EndoTriple,
+    connecting_map,
+    extension_twist,
+    make_extension,
+)
+from chaintrace.textio import parse_document, ses_file
+
+RINGS = (RingSpec(4), RingSpec(6), RingSpec(2, True), RingSpec(3, True))
+
+# hypothesis caches the constants it reads from local source files under
+# its home directory, database or not, and does so while pytest collects
+_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HOME.name)
+
+deterministic = settings(derandomize=True, database=None, deadline=None,
+                         max_examples=40)
+
+
+@st.composite
+def pairs(draw):
+    """A ring, a Random seeded by hypothesis, and two random complexes K
+    and M of at most three degrees and rank two.  K starts at -1..1 and M
+    at most one degree lower, so that Hom^1(M, K) is seldom empty."""
+    ring = draw(st.sampled_from(RINGS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    lo = rng.randrange(-1, 2)
+    k = random_complex(rng, ring, max_window=3, max_rank=2, lo=lo)
+    m = random_complex(rng, ring, max_window=3, max_rank=2,
+                       lo=lo - rng.randrange(2))
+    return ring, rng, k, m
+
+
+def _twist_window(k, m):
+    """Degrees around both windows, with room on each side."""
+    return range(min(k.lo, m.lo) - 3, max(k.hi, m.hi) + 4)
+
+
+@deterministic
+@given(pairs())
+def test_cocycle_twists_are_accepted_and_are_the_boundary(case):
+    ring, rng, k, m = case
+    space = CocycleSpace(k, m)
+    for _ in range(3):
+        twist = space.sample(rng)
+        ses = make_extension(k, m, twist)
+        assert extension_twist(ses) == twist
+        assert connecting_map(ses) == ChainMap.build(m, k.shift(1), twist)
+
+
+@deterministic
+@given(pairs())
+def test_twists_off_the_cocycles_are_refused(case):
+    ring, rng, k, m = case
+    # a random block at every slot of Hom^1(M, K): refused exactly when
+    # D(t) = d_K t + t d_M is nonzero somewhere
+    twist = {n: random_matrix(rng, ring, k.rank(n + 1), m.rank(n))
+             for n in m.degrees() if k.rank(n + 1) * m.rank(n)}
+
+    def block(n):
+        return twist.get(n, Matrix.zero(ring, k.rank(n + 1), m.rank(n)))
+
+    if any(not x.is_zero() for _, x in _hom_d(m, k, 1, block)):
+        with pytest.raises(ValueError):
+            make_extension(k, m, twist)
+    else:
+        assert extension_twist(make_extension(k, m, twist)) == twist
+    # one wrong-ring or misshapen block, at any degree, is refused
+    n = rng.choice(_twist_window(k, m))
+    rows, cols = k.rank(n + 1), m.rank(n)
+    other = RingSpec(5) if ring.modulus != 5 else RingSpec(7)
+    bad = [Matrix.zero(other, rows, cols),
+           Matrix.zero(ring, rows + 1, cols),
+           Matrix.zero(ring, rows, cols + rng.randrange(1, 3))]
+    for block_n in bad:
+        with pytest.raises(ValueError):
+            make_extension(k, m, {n: block_n})
+
+
+@deterministic
+@given(pairs())
+def test_sequence_files_round_trip(case):
+    ring, rng, k, m = case
+    ses = make_extension(k, m, CocycleSpace(k, m).sample(rng))
+    triple = EndoTriple(*(ChainMapSpace(c, c).sample(rng)
+                          for c in (ses.sub, ses.middle, ses.quotient)))
+    doc = parse_document(ses_file(ses, triple=triple))
+    assert doc.ses() == ses
+    assert doc.triple() == triple

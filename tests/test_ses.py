@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from chaintrace.complexes import ChainMap, ChainMapSpace, PerfectComplex
+import chaintrace.ses as ses_module
+from chaintrace.complexes import (
+    ChainMap,
+    ChainMapSpace,
+    PerfectComplex,
+    _twisted_sum,
+)
 from chaintrace.generate import (
     random_chain_endo,
     random_complex,
@@ -26,6 +32,7 @@ from chaintrace.ses import (
     ShortExactSequence,
     SquareStatus,
     _SequenceSquares,
+    _block_maps,
     check_triple,
     connecting_map,
     connecting_square,
@@ -91,6 +98,15 @@ def test_make_extension_rejects_bad_twist():
     # and the shape police
     with pytest.raises(ValueError):
         make_extension(sub, quo, {0: M(Z4, [[1, 1]])})
+
+
+def test_make_extension_refuses_twist_blocks_outside_the_window():
+    # a twist block far outside both windows used to be dropped silently
+    k = PerfectComplex.single(Z4, 0, 1)
+    with pytest.raises(ValueError, match="twist.*degree 7"):
+        make_extension(k, k, {7: M(Z4, [[1]])})
+    assert make_extension(k, k, {7: Matrix.zero(Z4, 0, 0)}) == \
+        make_extension(k, k)
 
 
 def test_make_extension_zero_twist_is_direct_sum():
@@ -401,6 +417,42 @@ def test_connecting_map_fallback_agrees_across_presentations():
             assert delta2.validate()
             assert find_null_homotopy(delta2 - connecting_map(ses)) \
                 is not None, ring
+
+
+def test_connecting_map_refuses_a_block_form_middle_off_its_twist(
+        monkeypatch):
+    # in block form, a middle whose twist breaks the chain condition is
+    # refused as such; only a sequence out of block form is solved for
+    solved = []
+    find_section = ses_module.find_section
+    monkeypatch.setattr(ses_module, "find_section",
+                        lambda s: solved.append(s) or find_section(s))
+    sub = PerfectComplex.build(Z4, 1, [1, 1], {1: M(Z4, [[2]])})
+    quo = PerfectComplex.build(Z4, 0, [1, 1], {0: M(Z4, [[2]])})
+    twist = {0: M(Z4, [[1]]), 1: M(Z4, [[0]])}
+    mid = _twisted_sum(sub, quo, lambda n: twist.get(
+        n, Matrix.zero(Z4, sub.rank(n + 1), quo.rank(n))))
+    ses = ShortExactSequence(sub, mid, quo, *_block_maps(sub, quo, mid))
+    assert extension_twist(ses) == twist
+    with pytest.raises(ValueError, match="twist.*degree 0"):
+        connecting_map(ses)
+    assert not solved
+    # a presentation out of block form (a basis swap in degree 0) still
+    # goes to the solver
+    ring = RingSpec(5)
+    sub = PerfectComplex.build(ring, 0, [1, 1])
+    quo = PerfectComplex.single(ring, 0, 1)
+    ses = make_extension(sub, quo, {0: M(ring, [[1]])})
+    swap = M(ring, [[0, 1], [1, 0]])
+    mid2 = PerfectComplex.build(ring, 0, [2, 1],
+                                {0: ses.middle.diff(0) @ swap})
+    ses2 = ShortExactSequence(
+        sub, mid2, quo,
+        ChainMap.build(sub, mid2, {0: swap @ ses.inclusion.comp(0),
+                                   1: ses.inclusion.comp(1)}),
+        ChainMap.build(mid2, quo, {0: ses.projection.comp(0) @ swap}))
+    assert connecting_map(ses2).validate()
+    assert solved == [ses2]
 
 
 def test_connecting_square_strict_when_both_outer_endos_vanish():

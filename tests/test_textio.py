@@ -86,6 +86,21 @@ def test_parse_and_format_matrix():
             parse_matrix(Z4, bad)
 
 
+def test_format_matrix_is_the_matrix_text():
+    texts = {(0, 0): "[]", (0, 3): "[]", (2, 0): "[[],[]]",
+             (2, 2): "[[0,1],[2,3]]"}
+    for (rows, cols), text in texts.items():
+        m = Matrix(Z4, rows, cols,
+                   tuple(Z4.element(i) for i in range(rows * cols)))
+        assert format_matrix(m) == str(m) == text
+
+
+def test_trimmed_empty_differential_parses():
+    doc = parse_document("ring Z/4\ncomplex K\n  degrees 0..1\n"
+                         "  ranks 0 1\n  d 0 [[]]\n")
+    assert doc.complexes["K"] == PerfectComplex.single(Z4, 1, 1)
+
+
 def test_matrix_round_trip_random():
     rng = random.Random(7)
     for ring in (Z4, Z3E, RingSpec(7)):
