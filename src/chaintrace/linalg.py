@@ -140,36 +140,17 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} "
                              f"by {other.rows}x{other.cols}")
-        ring, m = self.ring, self.ring.modulus
-        n, k, p = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        out: list[RingElem] = []
-        for i in range(n):
-            for j in range(p):
-                # accumulate on plain ints, one element built per entry
-                sa = sb = 0
-                for t in range(k):
-                    x = a[i * k + t]
-                    y = b[t * p + j]
-                    sa += x.a * y.a
-                    sb += x.a * y.b + x.b * y.a
-                out.append(RingElem(ring, sa % m, sb % m))
-        return Matrix(ring, n, p, tuple(out))
+        out = _product(self, other.entries, other.cols)
+        return Matrix(self.ring, self.rows, other.cols, tuple(out))
 
     def apply(self, vec: Sequence[RingElem]) -> list[RingElem]:
         """Matrix-vector product (column vector as a plain sequence)."""
         if len(vec) != self.cols:
             raise ShapeError("vector length does not match column count")
-        ring, m = self.ring, self.ring.modulus
-        out: list[RingElem] = []
-        for i in range(self.rows):
-            sa = sb = 0
-            for j, y in enumerate(vec):
-                x = self.entries[i * self.cols + j]
-                sa += x.a * y.a
-                sb += x.a * y.b + x.b * y.a
-            out.append(RingElem(ring, sa % m, sb % m))
-        return out
+        for y in vec:
+            if y.ring is not self.ring and y.ring != self.ring:
+                raise RingMismatchError("vector entry from a different ring")
+        return _product(self, vec, 1)
 
     # -- invariants --------------------------------------------------------
 
@@ -182,15 +163,12 @@ class Matrix:
         return t
 
     def det(self) -> RingElem:
-        """Determinant without division: cofactor expansion up to 4x4,
-        the Berkowitz characteristic-polynomial scheme above that.
+        """Determinant without division, by the Berkowitz recursion.
 
         Division-free matters because the rings here have zero divisors,
         so fraction-producing eliminations are not available."""
         if self.rows != self.cols:
             raise ShapeError("det needs a square matrix")
-        if self.rows <= 4:
-            return _cofactor_det(self)
         return _berkowitz_det(self)
 
     def __str__(self) -> str:
@@ -201,26 +179,36 @@ class Matrix:
         return f"[{rows}]"
 
 
-def _cofactor_det(mat: Matrix) -> RingElem:
-    """First-row cofactor expansion over an active-column mask."""
-    ring = mat.ring
+def _product(mat: Matrix, other: Sequence[RingElem],
+             cols: int) -> list[RingElem]:
+    """Entries, row-major, of mat times the mat.cols x cols matrix whose
+    row-major entries are `other`; the caller checks rings and shapes."""
+    ring, m = mat.ring, mat.ring.modulus
+    k = mat.cols
+    a = mat.entries
+    out: list[RingElem] = []
+    for i in range(mat.rows):
+        for j in range(cols):
+            # accumulate on plain ints, one element built per entry
+            sa = sb = 0
+            for t in range(k):
+                x = a[i * k + t]
+                y = other[t * cols + j]
+                sa += x.a * y.a
+                sb += x.a * y.b + x.b * y.a
+            out.append(RingElem(ring, sa % m, sb % m))
+    return out
 
-    def go(row: int, cols: tuple[int, ...]) -> RingElem:
-        if not cols:
-            return ring.one()
-        if len(cols) == 1:
-            return mat.entry(row, cols[0])
-        acc = ring.zero()
-        for pos, c in enumerate(cols):
-            x = mat.entry(row, c)
-            if not x:
-                continue
-            minor = go(row + 1, cols[:pos] + cols[pos + 1:])
-            term = x * minor
-            acc = acc - term if pos % 2 else acc + term
-        return acc
 
-    return go(0, tuple(range(mat.cols)))
+def _dot(xs: Iterable[tuple[int, int]], ys: Iterable[tuple[int, int]],
+         m: int) -> tuple[int, int]:
+    """Sum of the products x*y of paired elements a + b*e, each given as
+    its (a, b) pair; the sum is reduced mod m."""
+    sa = sb = 0
+    for (xa, xb), (ya, yb) in zip(xs, ys):
+        sa += xa * ya
+        sb += xa * yb + xb * ya
+    return sa % m, sb % m
 
 
 def _berkowitz_det(mat: Matrix) -> RingElem:
@@ -230,35 +218,31 @@ def _berkowitz_det(mat: Matrix) -> RingElem:
     recursion: each step k convolves the previous vector with
     [1, -a_kk, -(R C), -(R M C), ..., -(R M^(k-1) C)] where M is the leading
     k x k block, R the row below it and C the column to its right.
-    The determinant is (-1)^n times the constant coefficient.
+    The determinant is (-1)^n times the constant coefficient.  Elements
+    are carried as (a, b) integer pairs reduced mod m, and one ring
+    element is built at the end.
     """
-    ring, n = mat.ring, mat.rows
-    poly: list[RingElem] = [ring.one(), -mat.entry(0, 0)]
-    for k in range(1, n):
-        row = [mat.entry(k, j) for j in range(k)]
-        col = [mat.entry(i, k) for i in range(k)]
-        sub = [[mat.entry(i, j) for j in range(k)] for i in range(k)]
-        items: list[RingElem] = [ring.one(), -mat.entry(k, k)]
-        vec = col
+    n, m = mat.rows, mat.ring.modulus
+    a = [[(x.a, x.b) for x in mat.entries[i * n:(i + 1) * n]]
+         for i in range(n)]
+    poly = [(1, 0)]
+    for k in range(n):
+        row = a[k][:k]
+        kk_a, kk_b = a[k][k]
+        sub = [a[i][:k] for i in range(k)]
+        items = [(1, 0), (-kk_a % m, -kk_b % m)]
+        vec = [a[i][k] for i in range(k)]
         for step in range(k):
-            dot = ring.zero()
-            for i in range(k):
-                dot = dot + row[i] * vec[i]
-            items.append(-dot)
+            dot_a, dot_b = _dot(row, vec, m)
+            items.append((-dot_a % m, -dot_b % m))
             if step < k - 1:
-                vec = [sum((sub[i][j] * vec[j] for j in range(k)),
-                           start=ring.zero()) for i in range(k)]
+                vec = [_dot(sub_row, vec, m) for sub_row in sub]
         # truncated convolution: new length k+2
-        new = []
-        for r in range(k + 2):
-            acc = ring.zero()
-            for c, pc in enumerate(poly):
-                if 0 <= r - c < len(items):
-                    acc = acc + items[r - c] * pc
-            new.append(acc)
-        poly = new
-    d = poly[-1]
-    return d if n % 2 == 0 else -d
+        poly = [_dot(poly[:r + 1], items[r::-1], m) for r in range(k + 2)]
+    d_a, d_b = poly[-1]
+    if n % 2:
+        d_a, d_b = -d_a, -d_b
+    return RingElem(mat.ring, d_a, d_b)
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +422,14 @@ class LinearSolver:
         eps = self.ring.has_epsilon
         self._eps = eps
         r, c = mat.rows, mat.cols
+        rows = [mat.entries[i * c:(i + 1) * c] for i in range(r)]
+        lift = [[x.a for x in row] for row in rows]
         if eps:
-            lift = [[0] * (2 * c) for _ in range(2 * r)]
-            for i in range(r):
-                for j in range(c):
-                    x = mat.entry(i, j)
-                    lift[i][j] = x.a
-                    lift[r + i][c + j] = x.a
-                    lift[r + i][j] = x.b
-            self._n_eq, self._n_var = 2 * r, 2 * c
-        else:
-            lift = [[mat.entry(i, j).a for j in range(c)] for i in range(r)]
-            self._n_eq, self._n_var = r, c
+            # the doubled block system [[A0, 0], [A1, A0]]
+            lift = ([row + [0] * c for row in lift]
+                    + [[x.b for x in row] + row0
+                       for row, row0 in zip(rows, lift)])
+        self._n_eq, self._n_var = len(lift), (2 if eps else 1) * c
         if self._n_eq:
             u, s, v = smith_normal_form(lift, m)
         else:
@@ -515,8 +495,7 @@ class LinearSolver:
     # -- queries -----------------------------------------------------------
 
     def is_solvable(self, b: Sequence[RingElem]) -> bool:
-        c = self._transform(self._rhs_ints(b))
-        return all(ci % g == 0 for ci, g in zip(c, self._row_gs))
+        return not any(self.coset_key(b))
 
     def solve(self, b: Sequence[RingElem]) -> SolutionReport:
         c = self._transform(self._rhs_ints(b))
@@ -566,17 +545,3 @@ class LinearSolver:
                  for i in range(self._n_var)]
             yield self._y_to_elems(y)
 
-
-def solve(mat: Matrix, b: Sequence[RingElem]) -> SolutionReport:
-    """One-shot solve of A x = b; see LinearSolver for the semantics."""
-    return LinearSolver(mat).solve(b)
-
-
-def kernel_count(mat: Matrix) -> int:
-    """Exact number of vectors x with A x = 0."""
-    return LinearSolver(mat).kernel_count
-
-
-def image_count(mat: Matrix) -> int:
-    """Exact size of the image of A, via |domain| = kernel * image."""
-    return LinearSolver(mat).image_count

@@ -8,6 +8,7 @@ arithmetic returns fresh elements and never mutates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, isqrt
 from typing import Iterator, Optional
 
@@ -52,9 +53,20 @@ class RingSpec:
         return RingElem(self, a, b)
 
     def zero(self) -> "RingElem":
-        return RingElem(self, 0, 0)
+        return self._zero
 
     def one(self) -> "RingElem":
+        return self._one
+
+    # built once per ring and kept outside the fields, so that ==, hash
+    # and repr do not see them
+
+    @cached_property
+    def _zero(self) -> "RingElem":
+        return RingElem(self, 0, 0)
+
+    @cached_property
+    def _one(self) -> "RingElem":
         return RingElem(self, 1, 0)
 
     def epsilon(self) -> "RingElem":

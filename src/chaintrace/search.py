@@ -182,6 +182,8 @@ def wrap_instance(ses: ShortExactSequence, triple: EndoTriple) -> SearchOutcome:
 
 def _rank_vectors(max_window: int, max_rank: int) -> Iterator[tuple[int, ...]]:
     yield (0,)
+    if not max_rank:
+        return      # every wider vector has a zero edge rank
     for width in range(1, max_window + 1):
         for vec in itertools.product(range(max_rank + 1), repeat=width):
             # nonzero edge ranks, so each normalised complex shows up once
@@ -374,7 +376,33 @@ def _tally(classified: Iterable[Classified],
     return SearchOutcome(violations, first, examined)
 
 
+def _capped_power(base: int, exp: int, cap: int) -> int:
+    """base ** exp, or cap + 1 once 2 ** exp alone passes cap, so that a
+    huge exponent builds no huge integer; exact for comparing with cap
+    when base >= 2."""
+    return base ** exp if exp < cap.bit_length() else cap + 1
+
+
+def _refuse_complex_count(cfg: SearchConfig) -> None:
+    """Raise the complex ceiling from a lower bound on the number of
+    complexes in range, before any is listed and with no factorisation.
+    Every rank vector gives at least one complex, and (r0, r1, ...) at
+    least |R|^(r0*r1), one per first differential extended by zeros."""
+    r, ceiling = cfg.max_rank, cfg.ceiling
+    # 1 + r (r+1)^(w-1) rank vectors: (0,), then r^2 (r+1)^(k-2) of each
+    # width k >= 2 and r of width 1, all edge ranks nonzero
+    if 1 + r * _capped_power(r + 1, cfg.max_window - 1, ceiling) > ceiling:
+        raise _ceiling_error(ceiling)
+    total = 0
+    for ranks in _rank_vectors(cfg.max_window, r):
+        first = ranks[0] * ranks[1] if len(ranks) > 1 else 0
+        total += _capped_power(cfg.ring.cardinality, first, ceiling)
+        if total > ceiling:
+            raise _ceiling_error(ceiling)
+
+
 def _bounded_complex_list(cfg: SearchConfig) -> list[PerfectComplex]:
+    _refuse_complex_count(cfg)
     out: list[PerfectComplex] = []
     for k in _iter_complexes(cfg.ring, cfg.max_window, cfg.max_rank,
                              cfg.ceiling):
@@ -398,6 +426,11 @@ def _exhaustive_budget(cfg: SearchConfig, all_cs: list[PerfectComplex],
     """Sequences to count, or per_triple each plus its triples; raises
     CeilingExceededError once the running total passes the ceiling, so
     oversized configs are refused before real work."""
+    # every ordered pair has at least the zero twist: too many pairs are
+    # refused before any space is factored
+    pairs = len(all_cs) ** 2
+    if pairs > cfg.ceiling:
+        raise _budget_error(cfg.ceiling, pairs)
     if per_triple:
         n_endo = {k: ChainMapSpace(k, k).count for k in all_cs}
         charges = (1 + n_endo[s.sub] * n_endo[s.quotient]
@@ -409,11 +442,14 @@ def _exhaustive_budget(cfg: SearchConfig, all_cs: list[PerfectComplex],
     for charge in charges:
         total += charge
         if total > cfg.ceiling:
-            raise CeilingExceededError(
-                f"exhaustive enumeration needs more than "
-                f"{cfg.ceiling} objects (at least {total}); raise the "
-                f"ceiling or shrink the bounds")
+            raise _budget_error(cfg.ceiling, total)
     return total
+
+
+def _budget_error(ceiling: int, total: int) -> CeilingExceededError:
+    return CeilingExceededError(
+        f"exhaustive enumeration needs more than {ceiling} objects "
+        f"(at least {total}); raise the ceiling or shrink the bounds")
 
 
 def _generated_system(ses: ShortExactSequence) -> _SesSystem:

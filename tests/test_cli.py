@@ -265,3 +265,19 @@ def test_huge_modulus_is_decided_quickly_or_refused():
         assert proc.returncode == expected, proc.stderr
         assert time.monotonic() - start < 5
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("window, rank", [(2, 60), (2, 200), (3, 12),
+                                          (1, 5000)])
+def test_oversized_exhaustive_bounds_are_refused(window, rank):
+    # refused from counts: the complexes by a lower bound before any is
+    # listed, the sequences by the ordered pairs of complexes
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chaintrace", "search", "--ring", "Z/2",
+         "--mode", "exhaustive", "--max-window", str(window),
+         "--max-rank", str(rank)],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 64, proc.stderr
+    assert proc.stderr.startswith("usage error: ")

@@ -2,15 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaintrace.linalg import (
     LinearSolver,
     Matrix,
     ShapeError,
-    image_count,
-    kernel_count,
     smith_normal_form,
-    solve,
 )
 from chaintrace.rings import RingMismatchError, RingSpec
 
@@ -49,6 +48,35 @@ def det_int(a):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def cofactor_det(mat):
+    """Determinant by first-row cofactor expansion, the oracle for the
+    Berkowitz recursion of Matrix.det."""
+    ring = mat.ring
+
+    def go(row, cols):
+        if not cols:
+            return ring.one()
+        acc = ring.zero()
+        for pos, c in enumerate(cols):
+            term = mat.entry(row, c) * go(row + 1, cols[:pos] + cols[pos + 1:])
+            acc = acc - term if pos % 2 else acc + term
+        return acc
+
+    return go(0, tuple(range(mat.cols)))
+
+
+def solve(mat, b):
+    return LinearSolver(mat).solve(b)
+
+
+def kernel_count(mat):
+    return LinearSolver(mat).kernel_count
+
+
+def image_count(mat):
+    return LinearSolver(mat).image_count
 
 
 def M(ring, rows):
@@ -101,6 +129,17 @@ def test_empty_matrices_are_first_class():
     assert image_count(b) == 1
 
 
+def test_apply_checks_length_and_ring():
+    a = M(Z4, [[1, 1]])
+    assert a.apply([Z4.element(3), Z4.element(2)]) == [Z4.element(1)]
+    with pytest.raises(ShapeError):
+        a.apply([Z4.one()])
+    with pytest.raises(RingMismatchError):
+        a.apply([Z5.element(3), Z5.element(4)])
+    with pytest.raises(RingMismatchError):
+        a.apply([Z3E.epsilon(), Z4.one()])
+
+
 def test_block_assembly():
     a = Matrix.identity(Z4, 1)
     z01 = Matrix.zero(Z4, 0, 1)
@@ -133,14 +172,30 @@ def test_det_multiplicative():
 
 
 def test_berkowitz_agrees_with_cofactor():
-    """The two division-free routes must agree; cofactor is the oracle."""
-    from chaintrace.linalg import _berkowitz_det, _cofactor_det
+    """Matrix.det agrees with the cofactor expansion, the oracle."""
     rng = random.Random(11)
     for ring in (Z4, Z7, Z2E, Z3E):
-        for n in range(1, 7):
+        for n in range(7):
             for _ in range(6):
                 a = random_matrix(rng, ring, n, n)
-                assert _berkowitz_det(a) == _cofactor_det(a)
+                assert a.det() == cofactor_det(a)
+
+
+@st.composite
+def square_pairs(draw):
+    """Two random n x n matrices over one ring, n <= 6."""
+    ring = draw(st.sampled_from((Z4, Z6, Z9, Z2E, Z3E, RingSpec(101, True))))
+    n = draw(st.integers(0, 6))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_matrix(rng, ring, n, n), random_matrix(rng, ring, n, n)
+
+
+@settings(max_examples=40)
+@given(square_pairs())
+def test_det_is_the_cofactor_expansion_and_multiplicative(pair):
+    a, b = pair
+    assert a.det() == cofactor_det(a)
+    assert (a @ b).det() == a.det() * b.det()
 
 
 def test_det_identity_and_triangular():

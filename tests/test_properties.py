@@ -1,19 +1,18 @@
 """Properties of twists, boundary maps and the text format over random
-small complexes, checked with hypothesis.
-
-Every test runs derandomized and without an example database, so the
-suite stays deterministic, and hypothesis keeps its other files in a
-temporary directory, so no `.hypothesis/` directory is left behind.
+small complexes, and of the command line on mutated input files, checked
+with hypothesis (deterministic settings from conftest.py).
 """
 
+import contextlib
+import io
 import random
-import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
+from chaintrace import cli
 from chaintrace.complexes import ChainMap, ChainMapSpace, _hom_d
 from chaintrace.generate import random_complex, random_matrix
 from chaintrace.linalg import Matrix
@@ -29,13 +28,7 @@ from chaintrace.textio import parse_document, ses_file
 
 RINGS = (RingSpec(4), RingSpec(6), RingSpec(2, True), RingSpec(3, True))
 
-# hypothesis caches the constants it reads from local source files under
-# its home directory, database or not, and does so while pytest collects
-_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
-set_hypothesis_home_dir(_HOME.name)
-
-deterministic = settings(derandomize=True, database=None, deadline=None,
-                         max_examples=40)
+deterministic = settings(max_examples=40)
 
 
 @st.composite
@@ -108,3 +101,56 @@ def test_sequence_files_round_trip(case):
     doc = parse_document(ses_file(ses, triple=triple))
     assert doc.ses() == ses
     assert doc.triple() == triple
+
+
+# -- the command line on mutated files ---------------------------------------
+
+TRIPLE = (Path(__file__).parent.parent / "demos" / "triple.txt"
+          ).read_text().splitlines()
+
+TOKENS = ("ring", "complex", "degrees", "ranks", "d", "map", "endo", "K",
+          "L", "M", "j", "q", "u", "v", "w", "0", "1", "-1", "2", "7",
+          "99999999999", "e", "2*e", "1+e", "0..1", "1..0", "Z/4", "Z/3[e]",
+          "Z/1", "[[1]]", "[[e]]", "[[1,1]]", "[[1],[1]]", "[[]]", "[]", "[[",
+          "]]", "#")
+
+token = st.one_of(st.sampled_from(TOKENS),
+                  st.text(alphabet="0123456789[],.+-*e/Z ", max_size=6))
+
+
+@st.composite
+def mutated_lines(draw):
+    """demos/triple.txt with one to three lines mutated: a token replaced,
+    a line deleted or duplicated, or a line of directive tokens inserted."""
+    lines = list(TRIPLE)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("replace", "delete", "duplicate",
+                                     "insert")))
+        if kind == "replace":
+            words = lines[at].split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(token)
+            lines[at] = "  " * draw(st.booleans()) + " ".join(words)
+        elif kind == "delete":
+            del lines[at]
+        elif kind == "duplicate":
+            lines.insert(at, lines[at])
+        else:
+            words = draw(st.lists(token, min_size=0, max_size=3))
+            head = draw(st.sampled_from(TOKENS[:7]))
+            lines.insert(at, " ".join([head] + words))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60)
+@given(mutated_lines())
+def test_cli_never_crashes_on_mutated_files(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("mutated") / "triple.txt"
+    path.write_text(text)
+    for command in ("validate", "ses-check", "additivity"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run([command, str(path)])
+        assert code in (0, 1, 2, 64, 65), (command, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert "internal error" not in err.getvalue()

@@ -184,3 +184,13 @@ def test_hash_and_equality():
     assert hash(Z4.element(5)) == hash(Z4.element(1))
     assert Z4.element(1) != Z5.element(1)
     assert len({Z4.element(i) for i in range(16)}) == 4
+
+
+def test_zero_and_one_are_built_once_per_ring():
+    assert Z4.zero() is Z4.zero() and Z3E.one() is Z3E.one()
+    assert Z4.zero() == Z4.element(0) and Z3E.one() == Z3E.element(1)
+    # the cached elements stay out of the fields
+    Z4.zero()
+    assert repr(RingSpec(4)) == repr(Z4) == \
+        "RingSpec(modulus=4, has_epsilon=False)"
+    assert Z4 == RingSpec(4) and hash(Z4) == hash(RingSpec(4))

@@ -342,6 +342,14 @@ def test_exhaustive_refuses_huge_ring_before_enumerating():
     assert time.monotonic() - start < 5
 
 
+def test_rank_zero_bounds_do_not_walk_the_window():
+    # at rank 0 the zero complex is the only one, however wide the window
+    cfg = SearchConfig(Z2, max_window=10 ** 5, max_rank=0, mode="exhaustive")
+    start = time.monotonic()
+    assert search_violation(cfg) == SearchOutcome(0, None, 1)
+    assert time.monotonic() - start < 5
+
+
 def test_strict_squares_build_no_problem():
     names = ("left_prob", "right_prob", "conn_prob")
     sub, quo = PerfectComplex.single(Z4, 1, 1), PerfectComplex.single(Z4, 0, 1)
