@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from .complexes import ChainMap, PerfectComplex
 from .detline import det_trace_bridge
@@ -240,15 +240,24 @@ def _cmd_search(args: argparse.Namespace) -> int:
                            ceiling=args.ceiling)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    # opening, writing and closing the log can each fail (a full device
-    # only reports at the flush); all three are the caller's path problem
+    # the log is opened at its first line, or after a run that logged
+    # none, so a run refused from its counts leaves an old log as it was.
+    # opening, writing and closing can each fail (a full device only
+    # reports at the flush); all three are the caller's path problem
+    log_handle: Optional[TextIO] = None
+
+    def log_line(line: str) -> None:
+        nonlocal log_handle
+        if log_handle is None:
+            log_handle = open(args.log, "w", encoding="utf-8")
+        print(line, file=log_handle)
+
     try:
-        log_handle = (open(args.log, "w", encoding="utf-8") if args.log
-                      else None)
         try:
             outcome = search_violation(
-                cfg, log=(lambda line: print(line, file=log_handle))
-                if log_handle else None)
+                cfg, log=log_line if args.log else None)
+            if args.log and log_handle is None:
+                log_handle = open(args.log, "w", encoding="utf-8")
         finally:
             if log_handle is not None:
                 log_handle.close()

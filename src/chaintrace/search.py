@@ -94,7 +94,8 @@ class SearchConfig:
     may occupy, `max_rank` the rank in each degree.  `trials` and `seed`
     drive randomized mode (each trial reseeds as f"{seed}:{trial}", so
     outcomes do not depend on scheduling); `ceiling` bounds exhaustive
-    mode's complexes and sequences, with a log also triples, upfront.
+    mode's complexes, their ordered pairs and its sequences (with a log
+    also triples), each refused from its count before the sweep.
     """
 
     ring: RingSpec
@@ -195,28 +196,13 @@ def iter_all_complexes(ring: RingSpec, *, max_window: int,
                        max_rank: int) -> Iterator[PerfectComplex]:
     """Every valid complex with window anchored at degree 0, each degree
     of rank at most max_rank, no duplicates (edge ranks nonzero)."""
-    return _iter_complexes(ring, max_window, max_rank, None)
-
-
-def _iter_complexes(ring: RingSpec, max_window: int, max_rank: int,
-                    ceiling: Optional[int]) -> Iterator[PerfectComplex]:
     for ranks in _rank_vectors(max_window, max_rank):
-        yield from _complexes_with_ranks(ring, ranks, ceiling)
+        yield from _complexes_with_ranks(ring, ranks)
 
 
-def _ceiling_error(ceiling: int) -> CeilingExceededError:
-    return CeilingExceededError(
-        f"more than {ceiling} complexes in range; raise the ceiling or "
-        f"shrink the bounds")
-
-
-def _complexes_with_ranks(ring: RingSpec, ranks: tuple[int, ...],
-                          ceiling: Optional[int],
+def _complexes_with_ranks(ring: RingSpec, ranks: tuple[int, ...]
                           ) -> Iterator[PerfectComplex]:
-    """The complexes with these ranks.  With a ceiling, a step whose
-    choices of differential alone outnumber it raises
-    CeilingExceededError before they are listed: each choice extends
-    to at least one complex (by zero differentials after it)."""
+    """The complexes with these ranks, differential by differential."""
     n = len(ranks)
 
     def extend(i: int, prev: Matrix, acc: dict[int, Matrix]
@@ -228,8 +214,6 @@ def _complexes_with_ranks(ring: RingSpec, ranks: tuple[int, ...],
         # columns of the previous one: sample the kernel of its transpose
         solver = LinearSolver(prev.transpose())
         rows, cols = ranks[i + 1], ranks[i]
-        if ceiling is not None and solver.kernel_count ** rows > ceiling:
-            raise _ceiling_error(ceiling)
         zero_rhs = [ring.zero()] * prev.cols
         # zero rows have the one empty choice, however big the kernel
         row_choices = list(solver.iter_solutions(zero_rhs)) if rows else []
@@ -383,33 +367,67 @@ def _capped_power(base: int, exp: int, cap: int) -> int:
     return base ** exp if exp < cap.bit_length() else cap + 1
 
 
-def _refuse_complex_count(cfg: SearchConfig) -> None:
-    """Raise the complex ceiling from a lower bound on the number of
-    complexes in range, before any is listed and with no factorisation.
-    Every rank vector gives at least one complex, and (r0, r1, ...) at
-    least |R|^(r0*r1), one per first differential extended by zeros."""
+def _ceiling_error(ceiling: int) -> CeilingExceededError:
+    return CeilingExceededError(
+        f"more than {ceiling} complexes in range; raise the ceiling or "
+        f"shrink the bounds")
+
+
+def _budget_error(ceiling: int, total: int) -> CeilingExceededError:
+    return CeilingExceededError(
+        f"exhaustive enumeration needs more than {ceiling} objects "
+        f"(at least {total}); raise the ceiling or shrink the bounds")
+
+
+def _admitted_complexes(cfg: SearchConfig, *, per_triple: bool
+                        ) -> list[PerfectComplex]:
+    """The complexes of an exhaustive search, listed once its run is
+    measured against the ceiling from counts.  Every refusal of
+    exhaustive mode is raised here, before the sweep, at the first count
+    that passes the ceiling:
+      1. a lower bound on the complexes in range, with no factorisation:
+         the closed-form number of rank vectors, then their sum, where
+         (r0, r1, ...) gives at least |R|^(r0 r1) complexes, one per
+         first differential extended by zeros;
+      2. the complexes listed;
+      3. their ordered pairs, each with at least the zero twist;
+      4. the sequences, or per_triple each plus its triples.
+
+    The walk needs no check of its own: a step has kernel_count ** rows
+    <= |R|^(rows cols) <= |R|^(max_rank^2) choices of differential, and
+    when any step exists (max_window >= 2, max_rank >= 1) the vector
+    (max_rank, max_rank) adds exactly that to the sum of 1.
+    """
     r, ceiling = cfg.max_rank, cfg.ceiling
     # 1 + r (r+1)^(w-1) rank vectors: (0,), then r^2 (r+1)^(k-2) of each
     # width k >= 2 and r of width 1, all edge ranks nonzero
     if 1 + r * _capped_power(r + 1, cfg.max_window - 1, ceiling) > ceiling:
         raise _ceiling_error(ceiling)
-    total = 0
+    bound = 0
     for ranks in _rank_vectors(cfg.max_window, r):
         first = ranks[0] * ranks[1] if len(ranks) > 1 else 0
-        total += _capped_power(cfg.ring.cardinality, first, ceiling)
-        if total > ceiling:
+        bound += _capped_power(cfg.ring.cardinality, first, ceiling)
+        if bound > ceiling:
             raise _ceiling_error(ceiling)
-
-
-def _bounded_complex_list(cfg: SearchConfig) -> list[PerfectComplex]:
-    _refuse_complex_count(cfg)
-    out: list[PerfectComplex] = []
-    for k in _iter_complexes(cfg.ring, cfg.max_window, cfg.max_rank,
-                             cfg.ceiling):
-        out.append(k)
-        if len(out) > cfg.ceiling:
-            raise _ceiling_error(cfg.ceiling)
-    return out
+    all_cs = list(itertools.islice(
+        iter_all_complexes(cfg.ring, max_window=cfg.max_window, max_rank=r),
+        ceiling + 1))
+    if len(all_cs) > ceiling:
+        raise _ceiling_error(ceiling)
+    pairs = len(all_cs) ** 2
+    if pairs > ceiling:
+        raise _budget_error(ceiling, pairs)
+    if per_triple:
+        n_endo = {k: ChainMapSpace(k, k).count for k in all_cs}
+        charges = (1 + n_endo[s.sub] * n_endo[s.quotient]
+                   * ChainMapSpace(s.middle, s.middle).count
+                   for s in _iter_extensions(all_cs))
+    else:
+        charges = (CocycleSpace(k, m).count for k in all_cs for m in all_cs)
+    for total in itertools.accumulate(charges):
+        if total > ceiling:
+            raise _budget_error(ceiling, total)
+    return all_cs
 
 
 def _iter_extensions(all_cs: list[PerfectComplex]
@@ -419,37 +437,6 @@ def _iter_extensions(all_cs: list[PerfectComplex]
         for quo in all_cs:
             for twist in CocycleSpace(sub, quo).iter_all():
                 yield make_extension(sub, quo, twist)
-
-
-def _exhaustive_budget(cfg: SearchConfig, all_cs: list[PerfectComplex],
-                       *, per_triple: bool) -> int:
-    """Sequences to count, or per_triple each plus its triples; raises
-    CeilingExceededError once the running total passes the ceiling, so
-    oversized configs are refused before real work."""
-    # every ordered pair has at least the zero twist: too many pairs are
-    # refused before any space is factored
-    pairs = len(all_cs) ** 2
-    if pairs > cfg.ceiling:
-        raise _budget_error(cfg.ceiling, pairs)
-    if per_triple:
-        n_endo = {k: ChainMapSpace(k, k).count for k in all_cs}
-        charges = (1 + n_endo[s.sub] * n_endo[s.quotient]
-                   * ChainMapSpace(s.middle, s.middle).count
-                   for s in _iter_extensions(all_cs))
-    else:
-        charges = (CocycleSpace(k, m).count for k in all_cs for m in all_cs)
-    total = 0
-    for charge in charges:
-        total += charge
-        if total > cfg.ceiling:
-            raise _budget_error(cfg.ceiling, total)
-    return total
-
-
-def _budget_error(ceiling: int, total: int) -> CeilingExceededError:
-    return CeilingExceededError(
-        f"exhaustive enumeration needs more than {ceiling} objects "
-        f"(at least {total}); raise the ceiling or shrink the bounds")
 
 
 def _generated_system(ses: ShortExactSequence) -> _SesSystem:
@@ -464,11 +451,8 @@ def _generated_system(ses: ShortExactSequence) -> _SesSystem:
 
 def _search_exhaustive(cfg: SearchConfig,
                        log: Optional[LogLine]) -> SearchOutcome:
-    # budget pass first.  with a log, every triple is visited one by
-    # one, so the budget is counted per triple; without one it is the
-    # number of sequences whose triples are counted
-    all_cs = _bounded_complex_list(cfg)
-    _exhaustive_budget(cfg, all_cs, per_triple=log is not None)
+    # a log visits every triple one by one, so it is budgeted per triple
+    all_cs = _admitted_complexes(cfg, per_triple=log is not None)
     systems = map(_generated_system, _iter_extensions(all_cs))
     if log is not None:
         return _tally((c for s in systems for c in s.triples()), log)
@@ -511,7 +495,8 @@ def search_violation(cfg: SearchConfig,
     log settings — except that `log`, when given, receives one line per
     classified triple ("index<TAB>left+right+connecting<TAB>defect"),
     which in exhaustive mode forces the slow one-by-one sweep and a
-    per-triple budget.
+    per-triple budget.  Exhaustive mode raises CeilingExceededError
+    before its sweep when a count passes cfg.ceiling.
     """
     if cfg.mode == "exhaustive":
         return _search_exhaustive(cfg, log)

@@ -135,6 +135,8 @@ def parse_matrix(ring: RingSpec, text: str,
             if inner[i] != ",":
                 raise ParseError(where, "rows must be separated by commas")
             i += 1
+            if i == len(inner):
+                raise ParseError(where, "trailing comma after the last row")
     if any(len(r) != len(rows[0]) for r in rows):
         raise ParseError(where, "rows differ in length")
     if not rows or not rows[0]:

@@ -183,6 +183,22 @@ def test_search_log_to_unwritable_path_is_usage_error(tmp_path, capsys):
         assert "usage error: cannot write /dev/full" in captured.err
 
 
+def test_refused_search_leaves_an_old_log_as_it_was(tmp_path, capsys):
+    # the logged Z/4 sweep is refused from its counts, before any line
+    log = tmp_path / "old.tsv"
+    log.write_text("0\tstrict+strict+strict\t0\n")
+    code = cli.run(["search", "--ring", "Z/4", "--mode", "exhaustive",
+                    "--log", str(log)])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert "needs more than 10000000 objects" in captured.err
+    assert log.read_text() == "0\tstrict+strict+strict\t0\n"
+    # an admitted run that logs no line still leaves an empty log
+    assert cli.run(["search", "--ring", "Z/4", "--trials", "0",
+                    "--log", str(log)]) == 0
+    assert log.read_text() == ""
+
+
 def test_search_clean_report(capsys):
     assert cli.run(["search", "--ring", "Z/2", "--mode", "exhaustive"]) == 0
     out = capsys.readouterr().out

@@ -1,10 +1,12 @@
 """Properties of twists, boundary maps and the text format over random
-small complexes, and of the command line on mutated input files, checked
-with hypothesis (deterministic settings from conftest.py).
+small complexes, of the exhaustive search's admission check, and of the
+command line on mutated input files, checked with hypothesis
+(deterministic settings from conftest.py).
 """
 
 import contextlib
 import io
+import itertools
 import random
 from pathlib import Path
 
@@ -15,8 +17,14 @@ from hypothesis import strategies as st
 from chaintrace import cli
 from chaintrace.complexes import ChainMap, ChainMapSpace, _hom_d
 from chaintrace.generate import random_complex, random_matrix
-from chaintrace.linalg import Matrix
+from chaintrace.linalg import LinearSolver, Matrix
 from chaintrace.rings import RingSpec
+from chaintrace.search import (
+    CeilingExceededError,
+    SearchConfig,
+    _admitted_complexes,
+    iter_all_complexes,
+)
 from chaintrace.ses import (
     CocycleSpace,
     EndoTriple,
@@ -101,6 +109,48 @@ def test_sequence_files_round_trip(case):
     doc = parse_document(ses_file(ses, triple=triple))
     assert doc.ses() == ses
     assert doc.triple() == triple
+
+
+# -- the exhaustive search's admission check ----------------------------------
+
+SMALL_RINGS = (RingSpec(2), RingSpec(3), RingSpec(4), RingSpec(6),
+               RingSpec(2, True), RingSpec(3, True))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(SMALL_RINGS), st.integers(1, 3), st.integers(0, 3),
+       st.integers(1, 5000))
+def test_no_step_of_an_admitted_walk_passes_the_ceiling(ring, window, rank,
+                                                        ceiling):
+    # the lower bound: one complex per rank vector, and |R|^(r0 r1) for
+    # (r0, r1, ...), one per first differential extended by zeros
+    vectors = [(0,)] + [
+        v for width in range(1, window + 1)
+        for v in itertools.product(range(rank + 1), repeat=width)
+        if v[0] and v[-1]]
+    bound = sum(ring.cardinality ** (v[0] * v[1] if len(v) > 1 else 0)
+                for v in vectors)
+    if bound > ceiling:
+        cfg = SearchConfig(ring, max_window=window, max_rank=rank,
+                           mode="exhaustive", ceiling=ceiling)
+        with pytest.raises(CeilingExceededError,
+                           match="complexes in range"):
+            _admitted_complexes(cfg, per_triple=False)
+        return
+    # so the walk needs no check: each differential of each complex it
+    # lists (as far as the listed-count check lets it) had at most
+    # `ceiling` choices of rows, given the differential before it
+    choices = {}
+    listed = itertools.islice(iter_all_complexes(
+        ring, max_window=window, max_rank=rank), ceiling + 1)
+    for k in listed:
+        prev = Matrix.zero(ring, k.ranks[0], 0)
+        for d in k.diffs:
+            if (prev, d.rows) not in choices:
+                solver = LinearSolver(prev.transpose())
+                choices[prev, d.rows] = solver.kernel_count ** d.rows
+            assert choices[prev, d.rows] <= ceiling, k
+            prev = d
 
 
 # -- the command line on mutated files ---------------------------------------

@@ -9,6 +9,7 @@ behind the counts against silent drift.
 """
 
 import random
+import re
 import time
 from dataclasses import replace
 
@@ -292,16 +293,30 @@ def test_invalid_generated_sequence_is_an_internal_error(monkeypatch):
     assert len(calls) == 1
 
 
+def _budget_message(ceiling, total):
+    return re.escape(f"exhaustive enumeration needs more than {ceiling} "
+                     f"objects (at least {total})")
+
+
 def test_exhaustive_ceiling_blocks_oversized_runs():
     # Z/4 w2r1 has 96 sequences: the closed form is charged one each
     default = SearchConfig(Z4, max_window=2, max_rank=1, mode="exhaustive")
-    with pytest.raises(CeilingExceededError):
+    with pytest.raises(CeilingExceededError, match=_budget_message(95, 96)):
         search_violation(replace(default, ceiling=95))
     assert (search_violation(replace(default, ceiling=96))
             == search_violation(default))
     # and the logged sweep budgets per triple, which is far larger
-    with pytest.raises(CeilingExceededError):
+    with pytest.raises(CeilingExceededError,
+                       match=_budget_message(10_000_000, 16_947_859)):
         search_violation(default, log=lambda line: None)
+    # Z/2 w3r1: the lower bound is 7, but 8 complexes are listed, so at 7
+    # the listed count refuses; at 8 the 64 ordered pairs do
+    w3r1 = SearchConfig(Z2, max_window=3, max_rank=1, mode="exhaustive")
+    with pytest.raises(CeilingExceededError,
+                       match="more than 7 complexes in range"):
+        search_violation(replace(w3r1, ceiling=7))
+    with pytest.raises(CeilingExceededError, match=_budget_message(8, 64)):
+        search_violation(replace(w3r1, ceiling=8))
 
 
 def test_default_ceiling_admits_a_large_closed_form_count():
@@ -337,7 +352,8 @@ def test_exhaustive_refuses_huge_ring_before_enumerating():
     # ceiling refuses them from their count, before listing any
     cfg = SearchConfig(RingSpec(1000003, True), mode="exhaustive")
     start = time.monotonic()
-    with pytest.raises(CeilingExceededError):
+    with pytest.raises(CeilingExceededError,
+                       match="more than 10000000 complexes in range"):
         search_violation(cfg)
     assert time.monotonic() - start < 5
 

@@ -81,7 +81,7 @@ def test_parse_and_format_matrix():
     assert parse_matrix(Z4, " [ [ 1 , 2 ] ] ") == Matrix.from_rows(Z4, [[1, 2]])
     # an empty first row must not hide the entries of later ones
     for bad in ("[[1],[2,3]]", "[[],[1]]", "[[1],[]]", "[1,2]", "[[1]",
-                "[[1]][2]]", "[[1];[2]]"):
+                "[[1]][2]]", "[[1];[2]]", "[[1,2],]", "[[1],[2],]", "[[],]"):
         with pytest.raises(ParseError):
             parse_matrix(Z4, bad)
 
