@@ -22,8 +22,6 @@ from .complexes import (
     Validation,
     direct_sum,
     mapping_cone,
-    validate_chain_map,
-    validate_complex,
 )
 from .detline import (
     BridgeReport,
@@ -166,8 +164,6 @@ __all__ = [
     "ses_file",
     "tensor",
     "unit_line",
-    "validate_chain_map",
-    "validate_complex",
     "validate_ses",
     "wrap_instance",
 ]

@@ -69,10 +69,19 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _load(path: str) -> Document:
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number the line as parse_document would: its lines are the
+        # valid prefix's, the last one continued by the bad byte
+        good = data[:exc.start].decode("utf-8")
+        line = len((good + "x").splitlines())
+        raise ParseError(line, f"not UTF-8 text (byte "
+                               f"0x{data[exc.start]:02x})") from None
     return parse_document(text)
 
 
@@ -388,7 +397,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv and execute; returns the exit code (see module doc)."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:   # after printing --help text
+            return exc.code
         if getattr(args, "func", None) is None:
             parser.print_usage(sys.stderr)
             return USAGE

@@ -282,25 +282,20 @@ class ChainMap(_HomMap):
         return cls.build(k, k, {n: Matrix.identity(k.ring, k.rank(n))
                                 for n in k.degrees()})
 
-    def _check_parallel(self, other: "ChainMap") -> None:
+    def _degreewise(self, other: "ChainMap",
+                    op: Callable[[Matrix, Matrix], Matrix]) -> "ChainMap":
+        """op(self^n, other^n) at every degree, for two parallel maps."""
         if self.source != other.source or self.target != other.target:
             raise ValueError("chain maps have different source or target")
+        return ChainMap.build(self.source, self.target,
+                              {n: op(self.comp(n), other.comp(n))
+                               for n in self.degrees()})
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
-        self._check_parallel(other)
-        return ChainMap.build(self.source, self.target,
-                              {n: self.comp(n) + other.comp(n)
-                               for n in self.degrees()})
+        return self._degreewise(other, Matrix.__add__)
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
-        self._check_parallel(other)
-        return ChainMap.build(self.source, self.target,
-                              {n: self.comp(n) - other.comp(n)
-                               for n in self.degrees()})
-
-    def __neg__(self) -> "ChainMap":
-        return ChainMap.build(self.source, self.target,
-                              {n: -self.comp(n) for n in self.degrees()})
+        return self._degreewise(other, Matrix.__sub__)
 
     def __matmul__(self, other: "ChainMap") -> "ChainMap":
         """Composition self after other."""
@@ -332,14 +327,6 @@ class ChainMap(_HomMap):
                 return Validation(False, "commute", n,
                                   f"d f != f d at degree {n}")
         return _VALID
-
-
-def validate_chain_map(f: ChainMap) -> Validation:
-    return f.validate()
-
-
-def validate_complex(k: PerfectComplex) -> Validation:
-    return k.validate()
 
 
 class Homotopy(_HomMap):

@@ -45,8 +45,8 @@ class GradedLine:
         return f"line(degree={self.degree}, scalar={self.scalar})"
 
 
-def unit_line(ring: RingSpec, degree: int = 0) -> GradedLine:
-    return GradedLine(degree, ring.one())
+def unit_line(ring: RingSpec) -> GradedLine:
+    return GradedLine(0, ring.one())
 
 
 def tensor(a: GradedLine, b: GradedLine) -> GradedLine:
@@ -128,11 +128,10 @@ def det_trace_bridge(u: ChainMap) -> BridgeReport:
         raise ValueError("base ring already has a square-zero element; "
                          "use a plain Z/m endomorphism")
     lifted = RingSpec(ring.modulus, True)
-    blown_up = ChainMap.build(
-        _lift_complex(u.source, lifted),
-        _lift_complex(u.source, lifted),
-        {n: _one_plus_epsilon_times(u.comp(n), lifted)
-         for n in u.source.degrees()})
+    k = _lift_complex(u.source, lifted)
+    blown_up = ChainMap.build(k, k, {
+        n: _one_plus_epsilon_times(u.comp(n), lifted)
+        for n in u.source.degrees()})
     det_side = det_of_automorphism(blown_up)
     tr = graded_trace(u)
     return BridgeReport(det_side, lifted.element(1, tr.a))

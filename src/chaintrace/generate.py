@@ -58,7 +58,7 @@ def random_complex(rng: Random, ring: RingSpec, *, max_window: int,
     prev: Optional[Matrix] = None
     for i in range(width - 1):
         rows, cols = ranks[i + 1], ranks[i]
-        if prev is None or prev.cols == 0:
+        if prev is None:
             d = random_matrix(rng, ring, rows, cols)
         else:
             solver = LinearSolver(prev.transpose())
@@ -128,21 +128,16 @@ class DiagonalFillerSystem(HomComplex):
         self.sub, self.quotient = sub, quotient
 
     def fill(self, twist: dict[int, Matrix], u: ChainMap, w: ChainMap,
-             rng: Optional[Random] = None) -> Optional[dict[int, Matrix]]:
-        """The off-diagonal block as {degree: matrix}, or None when the
-        pair (u, w) admits no strict extension over this twist.  With an
-        rng, the filler is drawn uniformly from all of them."""
+             rng: Random) -> Optional[dict[int, Matrix]]:
+        """The off-diagonal block as {degree: matrix}, drawn uniformly
+        from all fillers, or None when the pair (u, w) admits no strict
+        extension over this twist."""
         def rhs(n: int) -> Matrix:
             t_n = twist.get(n, Matrix.zero(self.sub.ring, self.sub.rank(n + 1),
                                            self.quotient.rank(n)))
             return u.comp(n + 1) @ t_n - t_n @ w.comp(n)
 
-        b = self.flatten(rhs)
-        if rng is None:
-            rep = self.solver.solve(b)
-            vec = rep.witness if rep.solvable else None
-        else:
-            vec = self.solver.sample_solution(b, rng)
+        vec = self.solver.sample_solution(self.flatten(rhs), rng)
         return None if vec is None else self.to_blocks(vec)
 
 

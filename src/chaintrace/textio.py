@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .complexes import ChainMap, PerfectComplex
 from .linalg import Matrix
@@ -410,34 +410,30 @@ def parse_document(text: str) -> Document:
 # ---------------------------------------------------------------------------
 
 
+def _block_lines(head: str, blocks: Iterable[tuple[int, Matrix]]
+                 ) -> list[str]:
+    """`head n [[...]]` for every (n, block) that is neither empty nor
+    zero: the differential, map and endo lines."""
+    return [f"{head} {n} {format_matrix(m)}" for n, m in blocks
+            if m.rows * m.cols and not m.is_zero()]
+
+
 def format_complex(name: str, k: PerfectComplex) -> str:
     """One `complex` block (no ring line); zero differentials are omitted."""
     lines = [f"complex {name}",
              f"  degrees {k.lo}..{k.hi}",
              "  ranks " + " ".join(str(k.rank(n)) for n in k.degrees())]
-    for n in range(k.lo, k.hi):
-        d = k.diff(n)
-        if d.rows * d.cols and not d.is_zero():
-            lines.append(f"  d {n} {format_matrix(d)}")
+    lines.extend(_block_lines("  d", zip(k.degrees(), k.diffs)))
     return "\n".join(lines)
 
 
-def _component_lines(kind_name: str, f: ChainMap) -> list[str]:
-    out = []
-    for n in f.degrees():
-        c = f.comp(n)
-        if c.rows * c.cols and not c.is_zero():
-            out.append(f"{kind_name} {n} {format_matrix(c)}")
-    return out
-
-
-def _required_lines(kind_name: str, f: ChainMap) -> list[str]:
-    """Like _component_lines, but a map that must exist in the file (j, q,
-    u, v, w) gets one explicit line even when it is zero everywhere."""
-    lines = _component_lines(kind_name, f)
+def _required_lines(head: str, f: ChainMap) -> list[str]:
+    """The component lines of a map that must exist in the file (j, q,
+    u, v, w): one explicit line even when it is zero everywhere."""
+    lines = _block_lines(head, zip(f.degrees(), f.comps))
     if not lines:
         lo = f.source.lo
-        lines = [f"{kind_name} {lo} {format_matrix(f.comp(lo))}"]
+        lines = [f"{head} {lo} {format_matrix(f.comp(lo))}"]
     return lines
 
 
@@ -451,13 +447,12 @@ def complex_file(k: PerfectComplex, name: str = "K",
     return "\n".join(parts) + "\n"
 
 
-def ses_file(ses: ShortExactSequence,
-             names: Sequence[str] = ("K", "L", "M"),
+def ses_file(ses: ShortExactSequence, *,
              triple: Optional[EndoTriple] = None) -> str:
-    """A whole three-complex document with its j/q lines, and, when a
-    triple is supplied, endo u/v/w lines."""
+    """A whole three-complex document, K -> L -> M with its j/q lines,
+    and, when a triple is supplied, endo u/v/w lines."""
     parts = [f"ring {ses.ring}", ""]
-    for name, k in zip(names, (ses.sub, ses.middle, ses.quotient)):
+    for name, k in zip("KLM", (ses.sub, ses.middle, ses.quotient)):
         parts.append(format_complex(name, k))
         parts.append("")
     body = (_required_lines("map j", ses.inclusion)

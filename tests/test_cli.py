@@ -297,3 +297,115 @@ def test_oversized_exhaustive_bounds_are_refused(window, rank):
         capture_output=True, text=True, env=env, timeout=20)
     assert proc.returncode == 64, proc.stderr
     assert proc.stderr.startswith("usage error: ")
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"ring Z/4\n\xff\xfe\n")
+    assert cli.run(["validate", str(path)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: line 2:")
+    assert "internal error" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["search", "--help"]])
+def test_help_returns_zero(argv, capsys):
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: chaintrace")
+
+
+# -- the failure reports, each on a small file -----------------------------
+
+# K = M = (R --2--> R) over Z/4 in degrees 0, 1, and L = K (+) M
+SPLIT = """ring Z/4
+complex K
+  degrees 0..1
+  ranks 1 1
+  d 0 [[2]]
+complex L
+  degrees 0..1
+  ranks 2 2
+  d 0 [[2,0],[0,2]]
+complex M
+  degrees 0..1
+  ranks 1 1
+  d 0 [[2]]
+map j 0 [[1],[0]]
+map j 1 [[1],[0]]
+map q 0 [[0,1]]
+map q 1 [[0,1]]
+"""
+
+REPORT_FILES = {
+    # f^0 = 1 and f^1 = 0 do not commute with d = 2
+    "endo.txt": """ring Z/4
+complex K
+  degrees 0..1
+  ranks 1 1
+  d 0 [[2]]
+endo f 0 [[1]]
+endo z 0 [[0]]
+""",
+    "not-exact.txt": """ring Z/4
+complex K
+  degrees 0..0
+  ranks 1
+complex L
+  degrees 0..0
+  ranks 1
+complex M
+  degrees 0..0
+  ranks 1
+map j 0 [[0]]
+map q 0 [[1]]
+endo u 0 [[1]]
+endo v 0 [[1]]
+endo w 0 [[1]]
+""",
+    # u is not a chain map
+    "bad-u.txt": SPLIT + "endo u 0 [[1]]\nendo v 0 [[0,0],[0,0]]\n"
+                         "endo w 0 [[0]]\n",
+    # u = 1 and v = 0: v j - j u = -j is not null-homotopic, as id_K is not
+    "left-fails.txt": SPLIT + "endo u 0 [[1]]\nendo u 1 [[1]]\n"
+                              "endo v 0 [[0,0],[0,0]]\nendo w 0 [[0]]\n",
+}
+
+FAILURE_REPORTS = [
+    pytest.param(("validate", "not-exact.txt"), 1,
+                 "sequence K -> L -> M: NOT EXACT: ranks at degree 0 do "
+                 "not add up", id="validate-not-exact"),
+    pytest.param(("validate", "endo.txt"), 1,
+                 "endo f: NOT A CHAIN MAP: d f != f d at degree 0",
+                 id="validate-not-a-chain-map"),
+    pytest.param(("trace", "endo.txt", "--endo", "f"), 1,
+                 "endo f is not a chain map: d f != f d at degree 0",
+                 id="trace-not-a-chain-map"),
+    pytest.param(("homotopy", "bad-u.txt", "--from", "u", "--to", "v"), 1,
+                 "endos u and v act on different complexes",
+                 id="homotopy-different-complexes"),
+    pytest.param(("homotopy", "endo.txt", "--from", "z", "--to", "f"), 1,
+                 "endo f is not a chain map: d f != f d at degree 0",
+                 id="homotopy-not-a-chain-map"),
+    pytest.param(("additivity", "not-exact.txt"), 1,
+                 "sequence is not exact: ranks at degree 0 do not add up",
+                 id="additivity-not-exact"),
+    pytest.param(("additivity", "bad-u.txt"), 1,
+                 "invalid endomorphism triple: endo on sub is not a chain "
+                 "map: d f != f d at degree 0",
+                 id="additivity-invalid-triple"),
+    pytest.param(("additivity", "left-fails.txt"), 0,
+                 "violation: no (a square fails to commute up to homotopy, "
+                 "so additivity is not expected)",
+                 id="additivity-square-fails"),
+]
+
+
+@pytest.mark.parametrize("argv, code, line", FAILURE_REPORTS)
+def test_failure_reports(tmp_path, capsys, argv, code, line):
+    for name, text in REPORT_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert run(tmp_path, *argv) == code
+    captured = capsys.readouterr()
+    assert line in captured.out.splitlines()
+    assert captured.err == ""

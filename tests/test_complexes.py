@@ -15,8 +15,6 @@ from chaintrace.complexes import (
     _hom_matrix,
     _hom_slots,
     _Term,
-    validate_chain_map,
-    validate_complex,
 )
 from chaintrace.generate import random_complex, random_matrix
 from chaintrace.linalg import Matrix, ShapeError
@@ -138,7 +136,7 @@ def test_chain_map_identity_and_composition():
 def test_chain_map_commute_failure_degree():
     l = two_term(Z3E, Z3E.epsilon())
     f = ChainMap.build(l, l, {0: M(Z3E, [[1]]), 1: M(Z3E, [[0]])})
-    v = validate_chain_map(f)
+    v = f.validate()
     assert not v and v.kind == "commute" and v.degree == 0
 
 

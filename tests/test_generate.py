@@ -131,9 +131,9 @@ def test_diagonal_filler_on_disjoint_degrees():
     sys = DiagonalFillerSystem(sub, quo)
     ident_u = ChainMap.identity(sub)
     ident_w = ChainMap.identity(quo)
-    assert sys.fill(twist, ident_u, ident_w) == {}
+    assert sys.fill(twist, ident_u, ident_w, random.Random(0)) == {}
     zero_w = ChainMap.zero(quo, quo)
-    assert sys.fill(twist, ident_u, zero_w) is None
+    assert sys.fill(twist, ident_u, zero_w, random.Random(0)) is None
 
 
 def test_strict_triples_commute_strictly_and_add_traces():
@@ -179,7 +179,7 @@ def test_assemble_block_endo_matches_filler():
     sys = DiagonalFillerSystem(sub, quo)
     u = random_chain_endo(rng, sub)
     w = random_chain_endo(rng, quo)
-    filler = sys.fill(twist, u, w)
+    filler = sys.fill(twist, u, w, random.Random(0))
     if filler is not None:
         v = assemble_block_endo(ses, u, w, filler)
         assert v.validate()
@@ -203,5 +203,6 @@ def test_filler_solvability_matches_connecting_square():
             twist = extension_twist(ses)
             u = random_chain_endo(rng, ses.sub)
             w = random_chain_endo(rng, ses.quotient)
-            assert ((system.fill(twist, u, w) is not None)
+            assert ((system.fill(twist, u, w, random.Random(0))
+                     is not None)
                     == connecting_square(ses, u, w).holds)

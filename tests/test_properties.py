@@ -1,6 +1,6 @@
-"""Properties of twists, boundary maps and the text format over random
-small complexes, of the exhaustive search's admission check, and of the
-command line on mutated input files, checked with hypothesis
+"""Properties of twists, boundary maps, Hom counts and the text format
+over random small complexes, of the exhaustive search's admission check,
+and of the command line on mutated input files, checked with hypothesis
 (deterministic settings from conftest.py).
 """
 
@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaintrace import cli
-from chaintrace.complexes import ChainMap, ChainMapSpace, _hom_d
+from chaintrace.complexes import ChainMap, ChainMapSpace, HomComplex, _hom_d
 from chaintrace.generate import random_complex, random_matrix
+from chaintrace.homotopy import NullHomotopyProblem
 from chaintrace.linalg import LinearSolver, Matrix
 from chaintrace.rings import RingSpec
 from chaintrace.search import (
@@ -33,6 +34,8 @@ from chaintrace.ses import (
     make_extension,
 )
 from chaintrace.textio import parse_document, ses_file
+from test_complexes import brute_hom_cycles
+from test_homotopy import brute_null_homotopy_images
 
 RINGS = (RingSpec(4), RingSpec(6), RingSpec(2, True), RingSpec(3, True))
 
@@ -111,6 +114,28 @@ def test_sequence_files_round_trip(case):
     assert doc.triple() == triple
 
 
+# -- Hom counts against enumeration ----------------------------------------
+
+# |R|^n_vars at most this is enumerated
+ENUMERABLE = 4096
+
+
+@settings(max_examples=60)
+@given(pairs())
+def test_hom_counts_match_enumeration(case):
+    # Z^k Hom(S, T) for k = -1, 0, 1 and B^0, the maps d h + h d
+    ring, rng, s, t = case
+    for k in (-1, 0, 1):
+        hom = HomComplex(s, t, k)
+        if ring.cardinality ** hom.n_vars <= ENUMERABLE:
+            _, cycles = brute_hom_cycles(s, t, k)
+            assert hom.count == len(cycles), k
+    problem = NullHomotopyProblem(s, t)
+    if ring.cardinality ** problem.n_vars <= ENUMERABLE:
+        images, _ = brute_null_homotopy_images(s, t)
+        assert problem.solver.image_count == len(images)
+
+
 # -- the exhaustive search's admission check ----------------------------------
 
 SMALL_RINGS = (RingSpec(2), RingSpec(3), RingSpec(4), RingSpec(6),
@@ -171,12 +196,13 @@ token = st.one_of(st.sampled_from(TOKENS),
 @st.composite
 def mutated_lines(draw):
     """demos/triple.txt with one to three lines mutated: a token replaced,
-    a line deleted or duplicated, or a line of directive tokens inserted."""
+    a line deleted or duplicated, a line of directive tokens inserted, or
+    a byte that is not UTF-8 inserted."""
     lines = list(TRIPLE)
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(lines) - 1))
         kind = draw(st.sampled_from(("replace", "delete", "duplicate",
-                                     "insert")))
+                                     "insert", "byte")))
         if kind == "replace":
             words = lines[at].split() or [""]
             words[draw(st.integers(0, len(words) - 1))] = draw(token)
@@ -185,6 +211,11 @@ def mutated_lines(draw):
             del lines[at]
         elif kind == "duplicate":
             lines.insert(at, lines[at])
+        elif kind == "byte":
+            # a 0xff byte, which no UTF-8 text holds, written through the
+            # surrogate that `surrogateescape` turns back into it
+            col = draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:col] + "\udcff" + lines[at][col:]
         else:
             words = draw(st.lists(token, min_size=0, max_size=3))
             head = draw(st.sampled_from(TOKENS[:7]))
@@ -196,7 +227,7 @@ def mutated_lines(draw):
 @given(mutated_lines())
 def test_cli_never_crashes_on_mutated_files(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("mutated") / "triple.txt"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     for command in ("validate", "ses-check", "additivity"):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
