@@ -35,7 +35,6 @@ from .detline import (
     unit_line,
 )
 from .generate import (
-    DiagonalFillerSystem,
     assemble_block_endo,
     random_chain_endo,
     random_chain_map,
@@ -102,7 +101,6 @@ __all__ = [
     "ChainMap",
     "ChainMapSpace",
     "CocycleSpace",
-    "DiagonalFillerSystem",
     "Document",
     "EndoTriple",
     "GradedLine",

@@ -2,7 +2,7 @@
 
 All functions take an explicit random.Random so runs are reproducible;
 nothing here touches global random state.  Constrained objects (valid
-complexes, chain maps, twists, diagonal fillers for strict triples) are
+complexes, chain maps, twists, the block fillers of strict triples) are
 sampled through the exact linear solver, so a "random X" is always a
 genuine X — no generate-and-pray loops except where noted.
 """
@@ -15,7 +15,6 @@ from typing import Optional
 from .complexes import (
     ChainMap,
     ChainMapSpace,
-    HomComplex,
     Homotopy,
     PerfectComplex,
     _hom_slots,
@@ -28,6 +27,7 @@ from .ses import (
     CocycleSpace,
     EndoTriple,
     ShortExactSequence,
+    _SequenceSquares,
     extension_twist,
     make_extension,
 )
@@ -112,35 +112,6 @@ def random_extension(rng: Random, ring: RingSpec, *, max_window: int,
 # ---------------------------------------------------------------------------
 
 
-class DiagonalFillerSystem(HomComplex):
-    """Solve for the off-diagonal block that makes a block-triangular
-    endomorphism of an extension into a chain map.
-
-    For fixed sub and quotient complexes, an endo pair (u on sub, w on
-    quotient) extends to v = [[u, t], [0, w]] on the twisted sum exactly
-    when  d_sub t - t d_quo = u twist - twist w  degree by degree: t is
-    a D-preimage in degree 0 of Hom(quotient, sub), whose coefficient
-    matrix depends only on the two differentials.  Factor once, fill many.
-    """
-
-    def __init__(self, sub: PerfectComplex, quotient: PerfectComplex):
-        super().__init__(quotient, sub, 0)
-        self.sub, self.quotient = sub, quotient
-
-    def fill(self, twist: dict[int, Matrix], u: ChainMap, w: ChainMap,
-             rng: Random) -> Optional[dict[int, Matrix]]:
-        """The off-diagonal block as {degree: matrix}, drawn uniformly
-        from all fillers, or None when the pair (u, w) admits no strict
-        extension over this twist."""
-        def rhs(n: int) -> Matrix:
-            t_n = twist.get(n, Matrix.zero(self.sub.ring, self.sub.rank(n + 1),
-                                           self.quotient.rank(n)))
-            return u.comp(n + 1) @ t_n - t_n @ w.comp(n)
-
-        vec = self.solver.sample_solution(self.flatten(rhs), rng)
-        return None if vec is None else self.to_blocks(vec)
-
-
 def assemble_block_endo(ses: ShortExactSequence, u: ChainMap, w: ChainMap,
                         filler: dict[int, Matrix]) -> ChainMap:
     """The endomorphism [[u, filler], [0, w]] of the middle complex."""
@@ -163,8 +134,8 @@ def random_strict_triple(rng: Random, ses: ShortExactSequence, *,
     degreewise automorphism (so v is one too, being block-triangular
     with unit diagonal determinants).
     """
-    twist = extension_twist(ses)
-    filler_sys = DiagonalFillerSystem(ses.sub, ses.quotient)
+    extension_twist(ses)    # the filler is a block: refuse other layouts
+    squares = _SequenceSquares(ses)
     sub_space = ChainMapSpace(ses.sub, ses.sub)
     quo_space = ChainMapSpace(ses.quotient, ses.quotient)
 
@@ -184,9 +155,12 @@ def random_strict_triple(rng: Random, ses: ShortExactSequence, *,
         u, w = pick(sub_space), pick(quo_space)
         if u is None or w is None:
             return None
-        filler = filler_sys.fill(twist, u, w, rng)
+        diff, problem = squares.connecting_diff(u, w), squares.conn_prob
+        # a filler solves d_sub t - t d_quo = diff, i.e. D(t) = -diff here
+        filler = problem.solver.sample_solution(
+            problem.flatten(lambda n: -diff.comp(n)), rng)
         if filler is None:
             continue
-        v = assemble_block_endo(ses, u, w, filler)
+        v = assemble_block_endo(ses, u, w, problem.to_blocks(filler))
         return EndoTriple(u, v, w)
     return None

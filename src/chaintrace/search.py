@@ -34,15 +34,15 @@ triples without visiting them.  Every condition is linear in (u, v, w)
 once each square carries its homotopy as an unknown: the chain-map
 equations, "difference = D(h)" per square, and for the additive count
 the defect row.  So examined and additive triples are kernel counts of
-one Hom-complex system, two factorisations per sequence (see
-_SesSystem.counts).  Triples are visited one by one only for a log and
-to find the first violation, on the first sequence that has one.
+one Hom-complex system, factored twice per sequence on top of its square
+problems (see _SesSystem.counts).  Triples are visited one by one only
+for a log and to find the first violation, on the first sequence with one.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import prod
 from random import Random
@@ -73,6 +73,7 @@ from .ses import (
     connecting_square,
     make_extension,
     validate_ses,
+    _Pair,
     _SequenceSquares,
 )
 
@@ -421,7 +422,7 @@ def _admitted_complexes(cfg: SearchConfig, *, per_triple: bool
         n_endo = {k: ChainMapSpace(k, k).count for k in all_cs}
         charges = (1 + n_endo[s.sub] * n_endo[s.quotient]
                    * ChainMapSpace(s.middle, s.middle).count
-                   for s in _iter_extensions(all_cs))
+                   for s, _ in _iter_extensions(all_cs))
     else:
         charges = (CocycleSpace(k, m).count for k in all_cs for m in all_cs)
     for total in itertools.accumulate(charges):
@@ -431,29 +432,31 @@ def _admitted_complexes(cfg: SearchConfig, *, per_triple: bool
 
 
 def _iter_extensions(all_cs: list[PerfectComplex]
-                     ) -> Iterator[ShortExactSequence]:
-    """All extensions of one complex in `all_cs` by another, in order."""
+                     ) -> Iterator[tuple[ShortExactSequence, _Pair]]:
+    """All extensions of one complex in `all_cs` by another, in order,
+    each with the one context of its pair (sub, quotient)."""
     for sub in all_cs:
         for quo in all_cs:
+            pair = _Pair(sub, quo)
             for twist in CocycleSpace(sub, quo).iter_all():
-                yield make_extension(sub, quo, twist)
+                yield make_extension(sub, quo, twist), pair
 
 
-def _generated_system(ses: ShortExactSequence) -> _SesSystem:
+def _generated_system(ses: ShortExactSequence, pair: _Pair) -> _SesSystem:
     """The system of a sequence built by make_extension, which is valid
     by construction: a failing one is a bug, not a sequence to skip."""
     check = validate_ses(ses)
     if not check:
         raise RuntimeError(f"generated sequence fails validation: "
                            f"{check.message}; construction bug")
-    return _SesSystem(ses)
+    return _SesSystem(ses, pair)
 
 
 def _search_exhaustive(cfg: SearchConfig,
                        log: Optional[LogLine]) -> SearchOutcome:
     # a log visits every triple one by one, so it is budgeted per triple
     all_cs = _admitted_complexes(cfg, per_triple=log is not None)
-    systems = map(_generated_system, _iter_extensions(all_cs))
+    systems = itertools.starmap(_generated_system, _iter_extensions(all_cs))
     if log is not None:
         return _tally((c for s in systems for c in s.triples()), log)
     examined = violations = 0
@@ -513,13 +516,15 @@ def certify(outcome: SearchOutcome) -> Validation:
 
     Runs validate_ses, re-validates the endos and both visible squares
     via a fresh check_triple (whose homotopy witnesses are re-evaluated
-    against their defining equation), re-decides the connecting square,
-    and confirms the defect is nonzero and matches the stored report.
-    ValueError when the outcome carries no violation to certify.
+    against their defining equation), re-decides the connecting square
+    from a boundary derived anew on a copy of the sequence, and confirms
+    the defect is nonzero and matches the stored report.  ValueError
+    when the outcome carries no violation to certify.
     """
     if outcome.first_violation is None:
         raise ValueError("outcome holds no violation to certify")
     ses, triple, stored = outcome.first_violation
+    ses = replace(ses)
     v = validate_ses(ses)
     if not v:
         return Validation(False, "ses", v.degree,

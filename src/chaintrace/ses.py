@@ -56,6 +56,34 @@ class ShortExactSequence:
     def ring(self):
         return self.middle.ring
 
+    # connecting_map's boundary, kept outside the fields, so that ==, hash
+    # and repr do not see it; make_extension stores the one it validated
+    @cached_property
+    def _delta(self) -> ChainMap:
+        try:
+            twist = extension_twist(self)
+        except ValueError:  # not in block form: solve for the boundary
+            ring, mid, quo = self.ring, self.middle, self.quotient
+            section = find_section(self)
+            comps = {}
+            for n in quo.degrees():
+                if quo.rank(n) * self.sub.rank(n + 1) == 0:
+                    continue
+                s_next = section.get(n + 1, Matrix.zero(
+                    ring, mid.rank(n + 1), quo.rank(n + 1)))
+                comps[n] = _solve_columns(
+                    self.inclusion.comp(n + 1),
+                    mid.diff(n) @ section[n] - s_next @ quo.diff(n),
+                    f"no boundary at degree {n}: is the sequence exact?")
+        else:
+            return _boundary(self.sub, self.quotient, twist)
+        delta = ChainMap.build(quo, self.sub.shift(1), comps)
+        check = delta.validate()
+        if not check:
+            raise RuntimeError(f"boundary map fails its chain condition at "
+                               f"degree {check.degree}; solver bug")
+        return delta
+
     def __str__(self) -> str:
         return (f"short exact sequence over {self.ring}: "
                 f"ranks {list(self.sub.ranks)} -> {list(self.middle.ranks)} "
@@ -166,32 +194,10 @@ def connecting_map(ses: ShortExactSequence) -> ChainMap:
 
     (unique because j is injective).  A different section changes delta
     by a null-homotopic map only, so everything downstream asks about
-    null-homotopy classes.  Assumes the sequence is valid (run
-    validate_ses first when in doubt).
+    null-homotopy classes, derived once per sequence.  Assumes the
+    sequence is valid (run validate_ses first when in doubt).
     """
-    try:
-        twist = extension_twist(ses)
-    except ValueError:  # not in block form: solve for the boundary
-        ring, mid, quo = ses.ring, ses.middle, ses.quotient
-        section = find_section(ses)
-        comps = {}
-        for n in quo.degrees():
-            if quo.rank(n) * ses.sub.rank(n + 1) == 0:
-                continue
-            s_next = section.get(n + 1, Matrix.zero(
-                ring, mid.rank(n + 1), quo.rank(n + 1)))
-            comps[n] = _solve_columns(
-                ses.inclusion.comp(n + 1),
-                mid.diff(n) @ section[n] - s_next @ quo.diff(n),
-                f"no boundary at degree {n}: is the sequence exact?")
-    else:
-        return _boundary(ses.sub, ses.quotient, twist)
-    delta = ChainMap.build(ses.quotient, ses.sub.shift(1), comps)
-    check = delta.validate()
-    if not check:
-        raise RuntimeError(f"boundary map fails its chain condition at "
-                           f"degree {check.degree}; solver bug")
-    return delta
+    return ses._delta
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +272,28 @@ class AdditivityReport:
         return self.squares_hold and not self.additive
 
 
+class _Pair:
+    """The connecting problem Hom(M, K[1]) of a pair (K, M), built on first
+    use and shared by every sequence K -> L -> M."""
+
+    def __init__(self, sub: PerfectComplex, quotient: PerfectComplex):
+        self.sub, self.quotient = sub, quotient
+
+    @cached_property
+    def connecting(self) -> NullHomotopyProblem:
+        return NullHomotopyProblem(self.quotient, self.sub.shift(1))
+
+
 class _SequenceSquares:
     """The squares of one sequence K -> L -> M, decided triple by triple
-    (endos assumed to be chain endomorphisms): the boundary map delta and
-    a null-homotopy problem per square, left K -> L, right L -> M and
-    connecting M -> K[1], each built the first time a square that is not
-    strict reads it."""
+    (endos assumed to be chain endomorphisms): the sequence's boundary
+    delta and a null-homotopy problem per square, left K -> L and right
+    L -> M of the sequence, connecting M -> K[1] of its pair (K, M), each
+    read the first time a square that is not strict needs it."""
 
-    def __init__(self, ses: ShortExactSequence):
+    def __init__(self, ses: ShortExactSequence, pair: Optional[_Pair] = None):
         self.ses = ses
+        self.pair = pair or _Pair(ses.sub, ses.quotient)
 
     @cached_property
     def delta(self) -> ChainMap:
@@ -290,7 +309,7 @@ class _SequenceSquares:
 
     @cached_property
     def conn_prob(self) -> NullHomotopyProblem:
-        return NullHomotopyProblem(self.ses.quotient, self.ses.sub.shift(1))
+        return self.pair.connecting
 
     def _square(self, diff: ChainMap, problem: str) -> SquareStatus:
         """One square from the difference of its two composites; `problem`
@@ -311,14 +330,16 @@ class _SequenceSquares:
         tu, tv, tw = graded_trace(u), graded_trace(v), graded_trace(w)
         return AdditivityReport(left, right, tu, tv, tw, tv - tu - tw)
 
-    def connecting(self, u: ChainMap, w: ChainMap) -> SquareStatus:
+    def connecting_diff(self, u: ChainMap, w: ChainMap) -> ChainMap:
         """u[1] delta - delta w, degree by degree: the shifted sub endo is
         u^(n+1) at degree n, so it is read off u without building u[1]."""
         delta = self.delta
-        diff = ChainMap.build(delta.source, delta.target, {
+        return ChainMap.build(delta.source, delta.target, {
             n: u.comp(n + 1) @ delta.comp(n) - delta.comp(n) @ w.comp(n)
             for n in delta.degrees()})
-        return self._square(diff, "conn_prob")
+
+    def connecting(self, u: ChainMap, w: ChainMap) -> SquareStatus:
+        return self._square(self.connecting_diff(u, w), "conn_prob")
 
 
 def check_triple(ses: ShortExactSequence,
@@ -437,8 +458,10 @@ def make_extension(sub: PerfectComplex, quotient: PerfectComplex,
             raise ValueError(f"{name} complex invalid: {v.message}")
     delta = _boundary(sub, quotient, twist or {})
     middle = _twisted_sum(sub, quotient, delta.comp)
-    return ShortExactSequence(sub, middle, quotient,
-                              *_block_maps(sub, quotient, middle))
+    ses = ShortExactSequence(sub, middle, quotient,
+                             *_block_maps(sub, quotient, middle))
+    object.__setattr__(ses, "_delta", delta)
+    return ses
 
 
 def extension_twist(ses: ShortExactSequence) -> dict[int, Matrix]:

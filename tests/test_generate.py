@@ -1,11 +1,12 @@
+import itertools
 import random
 
 import pytest
 
-from chaintrace.complexes import ChainMap, PerfectComplex
+from chaintrace import generate
+from chaintrace.complexes import ChainMap, ChainMapSpace, PerfectComplex
 from chaintrace.detline import det_of_automorphism
 from chaintrace.generate import (
-    DiagonalFillerSystem,
     assemble_block_endo,
     extension_twist,
     random_chain_endo,
@@ -20,9 +21,12 @@ from chaintrace.generate import (
 from chaintrace.homotopy import graded_trace
 from chaintrace.linalg import Matrix
 from chaintrace.rings import RingSpec
+from chaintrace.search import iter_all_complexes
 from chaintrace.ses import (
+    CocycleSpace,
     ShortExactSequence,
     check_triple,
+    connecting_square,
     make_extension,
     validate_ses,
 )
@@ -36,6 +40,38 @@ RINGS = (Z4, Z6, Z2E, Z3E)
 
 def M(ring, rows):
     return Matrix.from_rows(ring, rows)
+
+
+@pytest.fixture
+def lift(monkeypatch):
+    """random_strict_triple with its one draw of (u, w) fixed: the strict
+    triple it lifts the pair to, or None when it finds no filler."""
+    draws = []
+
+    class FixedDraws:   # stands in for the two endo spaces it samples
+        def __init__(self, source, target):
+            pass
+
+        def sample(self, rng):
+            return draws.pop(0)
+
+    monkeypatch.setattr(generate, "ChainMapSpace", FixedDraws)
+
+    def lift_pair(ses, u, w, seed=0):
+        draws[:] = [u, w]
+        return random_strict_triple(random.Random(seed), ses, attempts=1)
+
+    return lift_pair
+
+
+def filler_of(ses, v):
+    """The top-right blocks t^n: M^n -> K^n of an endo of a block middle."""
+    sub, quo = ses.sub, ses.quotient
+    return {n: Matrix(ses.ring, sub.rank(n), quo.rank(n),
+                      tuple(v.comp(n).entry(i, sub.rank(n) + j)
+                            for i in range(sub.rank(n))
+                            for j in range(quo.rank(n))))
+            for n in ses.middle.degrees()}
 
 
 def test_random_complex_always_valid():
@@ -122,18 +158,17 @@ def test_extension_twist_rejects_non_block_layout():
         extension_twist(ses)
 
 
-def test_diagonal_filler_on_disjoint_degrees():
+def test_diagonal_filler_on_disjoint_degrees(lift):
     # sub in degree 1, quotient in degree 0: no filler slots at all, so
     # strictness is a yes/no question about u and w alone
     sub = PerfectComplex.single(Z3E, 1, 1)
     quo = PerfectComplex.single(Z3E, 0, 1)
-    twist = {0: M(Z3E, [[Z3E.epsilon()]])}
-    sys = DiagonalFillerSystem(sub, quo)
+    ses = make_extension(sub, quo, {0: M(Z3E, [[Z3E.epsilon()]])})
     ident_u = ChainMap.identity(sub)
     ident_w = ChainMap.identity(quo)
-    assert sys.fill(twist, ident_u, ident_w, random.Random(0)) == {}
-    zero_w = ChainMap.zero(quo, quo)
-    assert sys.fill(twist, ident_u, zero_w, random.Random(0)) is None
+    triple = lift(ses, ident_u, ident_w)
+    assert triple.on_middle == assemble_block_endo(ses, ident_u, ident_w, {})
+    assert lift(ses, ident_u, ChainMap.zero(quo, quo)) is None
 
 
 def test_strict_triples_commute_strictly_and_add_traces():
@@ -170,19 +205,22 @@ def test_strict_automorphism_triples_multiply_determinants():
     assert found >= 15
 
 
-def test_assemble_block_endo_matches_filler():
+def test_assemble_block_endo_matches_filler(lift):
     rng = random.Random(108)
-    sub = random_complex(rng, Z4, max_window=2, max_rank=2)
-    quo = random_complex(rng, Z4, max_window=2, max_rank=2)
-    twist = random_cocycle(rng, sub, quo)
-    ses = make_extension(sub, quo, twist)
-    sys = DiagonalFillerSystem(sub, quo)
-    u = random_chain_endo(rng, sub)
-    w = random_chain_endo(rng, quo)
-    filler = sys.fill(twist, u, w, random.Random(0))
-    if filler is not None:
-        v = assemble_block_endo(ses, u, w, filler)
+    lifted = 0
+    while lifted < 3:
+        sub = random_complex(rng, Z4, max_window=2, max_rank=2)
+        quo = random_complex(rng, Z4, max_window=2, max_rank=2)
+        ses = make_extension(sub, quo, random_cocycle(rng, sub, quo))
+        u = ChainMapSpace(sub, sub).sample(rng)
+        w = ChainMapSpace(quo, quo).sample(rng)
+        triple = lift(ses, u, w)
+        if triple is None:
+            continue
+        lifted += 1
+        v = triple.on_middle
         assert v.validate()
+        assert v == assemble_block_endo(ses, u, w, filler_of(ses, v))
         assert graded_trace(v) == graded_trace(u) + graded_trace(w)
 
 
@@ -192,17 +230,69 @@ def test_random_matrix_deterministic():
     assert a == b
 
 
-def test_filler_solvability_matches_connecting_square():
-    from chaintrace.ses import connecting_square
-
+def test_filler_solvability_matches_connecting_square(lift):
     rng = random.Random(23)
     for ring in (Z4, RingSpec(2, True)):
         for _ in range(25):
             ses = random_extension(rng, ring, max_window=2, max_rank=1)
-            system = DiagonalFillerSystem(ses.sub, ses.quotient)
-            twist = extension_twist(ses)
-            u = random_chain_endo(rng, ses.sub)
-            w = random_chain_endo(rng, ses.quotient)
-            assert ((system.fill(twist, u, w, random.Random(0))
-                     is not None)
+            u = ChainMapSpace(ses.sub, ses.sub).sample(rng)
+            w = ChainMapSpace(ses.quotient, ses.quotient).sample(rng)
+            assert ((lift(ses, u, w) is not None)
                     == connecting_square(ses, u, w).holds)
+
+
+def solves_filler_equation(ses, twist, u, w, t):
+    """d_K t - t d_M = u delta - delta w at every degree, by products of
+    the twist's own blocks."""
+    ring, sub, quo = ses.ring, ses.sub, ses.quotient
+
+    def block(blocks, n, rows, cols):
+        return blocks.get(n, Matrix.zero(ring, rows, cols))
+
+    for n in range(min(sub.lo, quo.lo) - 1, max(sub.hi, quo.hi) + 1):
+        t_n = block(t, n, sub.rank(n), quo.rank(n))
+        t_next = block(t, n + 1, sub.rank(n + 1), quo.rank(n + 1))
+        delta = block(twist, n, sub.rank(n + 1), quo.rank(n))
+        if (sub.diff(n) @ t_n - t_next @ quo.diff(n)
+                != u.comp(n + 1) @ delta - delta @ w.comp(n)):
+            return False
+    return True
+
+
+def test_filler_matches_brute_force_on_tiny_pairs(lift):
+    # every t in Hom^0(M, K), tried against the filler equation: a pair
+    # (u, w) lifts exactly when one solves it, and the lift's filler does
+    for ring in (RingSpec(2), Z4, Z2E):
+        elems = [ring.from_index(i) for i in range(ring.cardinality)]
+        cs = list(iter_all_complexes(ring, max_window=2, max_rank=1))
+        cs += [k.shift(-1) for k in cs if any(k.ranks)]
+        rng = random.Random(f"filler oracle {ring}")
+        lifted = refused = 0
+        for sub, quo in rng.sample(list(itertools.product(cs, cs)), 12):
+            slots = [(n, sub.rank(n), quo.rank(n)) for n in quo.degrees()
+                     if sub.rank(n) * quo.rank(n)]
+            fillers = []
+            for flat in itertools.product(
+                    elems, repeat=sum(r * c for _, r, c in slots)):
+                t, pos = {}, 0
+                for n, r, c in slots:
+                    t[n] = Matrix(ring, r, c, flat[pos:pos + r * c])
+                    pos += r * c
+                fillers.append(t)
+            for twist in CocycleSpace(sub, quo).iter_all():
+                ses = make_extension(sub, quo, twist)
+                for u, w in itertools.product(
+                        ChainMapSpace(sub, sub).iter_all(),
+                        ChainMapSpace(quo, quo).iter_all()):
+                    exists = any(solves_filler_equation(ses, twist, u, w, t)
+                                 for t in fillers)
+                    triple = lift(ses, u, w, seed=lifted + refused)
+                    assert (triple is not None) == exists, ring
+                    if triple is None:
+                        refused += 1
+                        continue
+                    lifted += 1
+                    t = filler_of(ses, triple.on_middle)
+                    assert solves_filler_equation(ses, twist, u, w, t)
+                    assert triple.on_middle.validate()
+        assert lifted and refused, ring

@@ -1,11 +1,14 @@
 """The benchmark's tracer still reaches every entry point it names, so a
 refactor that moves or deletes a traced function or method fails here
-instead of breaking traced benchmark runs."""
+instead of breaking traced benchmark runs; and the self-test's checks of
+the randomized and instances workloads pass."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,6 +20,21 @@ def test_tracer_installs_on_every_entry_point():
             "tracer = Tracer()\n"
             "tracer.install()\n"
             "print(tracer.unwrapped_leftovers())\n")
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("workload", ["randomized", "instances"])
+def test_selftest_workload_checks_pass(workload):
+    # perfbench/selftest.py stops at its first failing group, so the
+    # groups after it are checked here on their own: answers agree traced
+    # and untraced, counts agree across traced passes, and every per-layer
+    # metric it names for the workload is nonzero
+    code = f"import selftest\nprint(selftest.check_workload({workload!r}))\n"
     path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path),

@@ -16,10 +16,11 @@ from dataclasses import replace
 import pytest
 
 import chaintrace.search
+import chaintrace.ses as ses_module
 from chaintrace.complexes import (ChainMap, Homotopy, PerfectComplex,
                                   Validation, _hom_d)
 from chaintrace.generate import random_cocycle, random_complex, random_element
-from chaintrace.homotopy import graded_trace, perturb
+from chaintrace.homotopy import NullHomotopyProblem, graded_trace, perturb
 from chaintrace.linalg import Matrix
 from chaintrace.rings import RingSpec
 from chaintrace.search import (
@@ -37,6 +38,7 @@ from chaintrace.search import (
 from chaintrace.ses import (
     EndoTriple,
     check_triple,
+    connecting_square,
     make_extension,
     validate_ses,
 )
@@ -139,6 +141,22 @@ def test_certify_rejects_tampered_report():
         1, (ses, triple, dataclasses.replace(honest, defect=Z4.element(1))), 1)
     verdict = certify(tampered)
     assert not verdict and verdict.kind == "mismatch"
+
+
+def test_certify_derives_the_boundary_afresh():
+    # a wrong boundary planted in the stored sequence fails the connecting
+    # square of the search's first violation; certify and a fresh copy of
+    # the sequence never read it
+    out = search_violation(SearchConfig(Z4, max_window=2, max_rank=1,
+                                        mode="exhaustive"))
+    ses, triple, _ = out.first_violation
+    u, w = triple.on_sub, triple.on_quotient
+    wrong = ChainMap.build(ses.quotient, ses.sub.shift(1), {0: M(Z4, [[1]])})
+    assert connecting_square(ses, u, w).holds
+    object.__setattr__(ses, "_delta", wrong)
+    assert not connecting_square(ses, u, w).holds
+    assert bool(certify(out))
+    assert connecting_square(replace(ses), u, w).holds
 
 
 def test_certify_requires_a_violation():
@@ -347,6 +365,41 @@ def test_closed_form_walks_the_extensions_once(monkeypatch):
     assert calls == {"make_extension": 49, "ChainMapSpace": 0}
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name for the test; the list of argument tuples it saw."""
+    real, calls = getattr(module, name), []
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_each_boundary_and_connecting_problem_is_built_once(monkeypatch):
+    # Z/3 w2r1 again: make_extension builds and checks each of the 49
+    # boundaries, which the sweep reuses, and the sequences of one pair
+    # (K, M) of the 5 complexes share its connecting problem Hom(M, K[1])
+    boundaries = count_calls(monkeypatch, ses_module, "_boundary")
+    problems = count_calls(monkeypatch, ses_module, "NullHomotopyProblem")
+    cfg = SearchConfig(Z3, max_window=2, max_rank=1, mode="exhaustive")
+    assert search_violation(cfg) == SearchOutcome(0, None, 20743)
+    assert len(boundaries) == 49
+    # K[1] starts at degree -1 unless K = 0, so no left or right problem
+    # has the (source, target) of a connecting problem with K nonzero
+    cs = list(iter_all_complexes(Z3, max_window=2, max_rank=1))
+    keys = {(m, k.shift(1)) for k in cs for m in cs if any(k.ranks)}
+    connecting = [args for args in problems if args in keys]
+    assert len(connecting) == len(set(connecting)) == len(keys) == 20
+    # the rest: a left and a right problem per sequence, and the
+    # connecting problems of the 5 pairs with K = 0
+    assert len(problems) == 2 * 49 + 25
+    # a randomized trial builds one sequence and its one boundary
+    boundaries.clear()
+    search_violation(SearchConfig(Z4, max_window=3, max_rank=2, trials=60))
+    assert len(boundaries) == 60
+
+
 def test_exhaustive_refuses_huge_ring_before_enumerating():
     # one rank-1 differential over Z/1000003[e] has 10^12 choices: the
     # ceiling refuses them from their count, before listing any
@@ -376,6 +429,7 @@ def test_strict_squares_build_no_problem():
     _, _, report, conn = system.classify(zero)
     assert report.left.strict and report.right.strict and conn.strict
     assert not any(name in vars(system) for name in names)
+    assert "connecting" not in vars(system.pair)
     # the counterexample's left square is not strict: only its problem is
     # built, and the verdicts equal those on eagerly built problems
     ses, triple, _ = build_counterexample(Z4)

@@ -359,6 +359,21 @@ def test_connecting_map_of_block_extension_is_the_twist():
     assert delta.validate()
 
 
+def test_stored_boundary_is_invisible_to_eq_hash_and_repr():
+    # make_extension keeps the boundary it built with the sequence, outside
+    # the fields: a field-by-field copy holds none, compares equal and
+    # derives the same boundary
+    rng = random.Random("stored boundary")
+    for ring in SIGNED_RINGS:
+        ses = random_extension(rng, ring, max_window=3, max_rank=2)
+        copy = ShortExactSequence(ses.sub, ses.middle, ses.quotient,
+                                  ses.inclusion, ses.projection)
+        assert "_delta" in vars(ses) and "_delta" not in vars(copy)
+        assert ses == copy and hash(ses) == hash(copy)
+        assert repr(ses) == repr(copy)
+        assert connecting_map(copy) == connecting_map(ses)
+
+
 def test_connecting_map_fallback_agrees_across_presentations():
     # conjugate the middle by a basis swap in degree 0 so the inclusion
     # and projection are no longer block-form; the boundary's homotopy
