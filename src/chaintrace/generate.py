@@ -27,7 +27,7 @@ from .ses import (
     CocycleSpace,
     EndoTriple,
     ShortExactSequence,
-    _SequenceSquares,
+    _SesSystem,
     extension_twist,
     make_extension,
 )
@@ -135,9 +135,7 @@ def random_strict_triple(rng: Random, ses: ShortExactSequence, *,
     with unit diagonal determinants).
     """
     extension_twist(ses)    # the filler is a block: refuse other layouts
-    squares = _SequenceSquares(ses)
-    sub_space = ChainMapSpace(ses.sub, ses.sub)
-    quo_space = ChainMapSpace(ses.quotient, ses.quotient)
+    system = _SesSystem(ses)
 
     def pick(space: ChainMapSpace) -> Optional[ChainMap]:
         for _ in range(attempts):
@@ -152,15 +150,11 @@ def random_strict_triple(rng: Random, ses: ShortExactSequence, *,
         return None
 
     for _ in range(attempts):
-        u, w = pick(sub_space), pick(quo_space)
+        u, w = pick(system.u_space), pick(system.w_space)
         if u is None or w is None:
             return None
-        diff, problem = squares.connecting_diff(u, w), squares.conn_prob
-        # a filler solves d_sub t - t d_quo = diff, i.e. D(t) = -diff here
-        filler = problem.solver.sample_solution(
-            problem.flatten(lambda n: -diff.comp(n)), rng)
+        filler = system.sample_filler(u, w, rng)
         if filler is None:
             continue
-        v = assemble_block_endo(ses, u, w, problem.to_blocks(filler))
-        return EndoTriple(u, v, w)
+        return EndoTriple(u, assemble_block_endo(ses, u, w, filler), w)
     return None

@@ -30,21 +30,15 @@ squares with a nonzero defect.  That asymmetry is the whole point.
 
 Exhaustive mode enumerates complexes (windows anchored at degree 0 —
 traces are blind to shifts) and twists, then counts each sequence's
-triples without visiting them.  Every condition is linear in (u, v, w)
-once each square carries its homotopy as an unknown: the chain-map
-equations, "difference = D(h)" per square, and for the additive count
-the defect row.  So examined and additive triples are kernel counts of
-one Hom-complex system, factored twice per sequence on top of its square
-problems (see _SesSystem.counts).  Triples are visited one by one only
-for a log and to find the first violation, on the first sequence with one.
+triples in closed form, without visiting them (see ses._SesSystem).
+Triples are visited one by one only for a log and to find the first
+violation, on the first sequence with one.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
-from math import prod
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -55,31 +49,26 @@ from .complexes import (
     PerfectComplex,
     Validation,
     _VALID,
-    _Term,
-    _d_terms,
-    _hom_matrix,
-    _hom_slots,
 )
 from .generate import random_extension
 from .linalg import LinearSolver, Matrix
 from .rings import RingSpec
 from .ses import (
-    AdditivityReport,
+    Classified,
     CocycleSpace,
     EndoTriple,
     ShortExactSequence,
-    SquareStatus,
+    Violation,
     check_triple,
     connecting_square,
     make_extension,
     validate_ses,
     _Pair,
-    _SequenceSquares,
+    _SesSystem,
 )
 
 DEFAULT_CEILING = 10_000_000
 
-Violation = tuple[ShortExactSequence, EndoTriple, AdditivityReport]
 LogLine = Callable[[str], None]
 
 
@@ -226,115 +215,6 @@ def _complexes_with_ranks(ring: RingSpec, ranks: tuple[int, ...]
         acc.pop(i, None)
 
     yield from extend(0, Matrix.zero(ring, ranks[0], 0), {})
-
-
-# ---------------------------------------------------------------------------
-# One short exact sequence: its triples one by one, or counted in one go
-# ---------------------------------------------------------------------------
-
-Classified = tuple[ShortExactSequence, EndoTriple, AdditivityReport,
-                   SquareStatus]
-
-
-class _SesSystem(_SequenceSquares):
-    """One sequence's square context plus its three endo spaces, each
-    built on first use: `counts` builds no endo space, and a randomized
-    trial whose squares all commute on the nose builds no problem."""
-
-    @cached_property
-    def u_space(self) -> ChainMapSpace:
-        return ChainMapSpace(self.ses.sub, self.ses.sub)
-
-    @cached_property
-    def v_space(self) -> ChainMapSpace:
-        return ChainMapSpace(self.ses.middle, self.ses.middle)
-
-    @cached_property
-    def w_space(self) -> ChainMapSpace:
-        return ChainMapSpace(self.ses.quotient, self.ses.quotient)
-
-    def classify(self, triple: EndoTriple) -> Classified:
-        """Decide the three squares of one triple, each with a witness,
-        and its trace defect: the one per-triple check of every mode, as
-        check_triple and connecting_square but without endo validation."""
-        return (self.ses, triple, self.visible(triple),
-                self.connecting(triple.on_sub, triple.on_quotient))
-
-    def triples(self) -> Iterator[Classified]:
-        """Every triple, classified, in enumeration order: middle endo,
-        then sub endo, then quotient endo.  The slow oracle of counts."""
-        for v in self.v_space.iter_all():
-            for u in self.u_space.iter_all():
-                for w in self.w_space.iter_all():
-                    yield self.classify(EndoTriple(u, v, w))
-
-    def first_violation(self) -> Optional[Violation]:
-        """The first examined triple with nonzero defect, or None."""
-        for ses, triple, report, conn in self.triples():
-            if report.squares_hold and conn.holds and report.defect:
-                return ses, triple, report
-        return None
-
-    def matrix(self) -> Matrix:
-        """B of `counts` with the defect row last: block rows D(u), D(v),
-        D(w) and each square's difference minus D(h), in (u, v, w, h_L,
-        h_R, h_C), all written by `_hom_matrix`."""
-        ses, ring = self.ses, self.ses.ring
-        j, q, delta = ses.inclusion, ses.projection, self.delta
-        complexes = (ses.sub, ses.middle, ses.quotient)
-        endo_slots = [_hom_slots(k, k, 0) for k in complexes]
-        probs = (self.left_prob, self.right_prob, self.conn_prob)
-        # unknowns 0..2 are u, v, w and 3..5 the homotopies h_L, h_R, h_C;
-        # the squares' differences are v j - j u, q v - w q, u[1] delta -
-        # delta w
-        squares = ([_Term(1, j.comp, left=False), _Term(0, j.comp, sign=-1)],
-                   [_Term(1, q.comp), _Term(2, q.comp, left=False, sign=-1)],
-                   [_Term(0, delta.comp, shift=1, left=False),
-                    _Term(2, delta.comp, sign=-1)])
-        block_rows = [(_hom_slots(k, k, 1), _d_terms(k, k, 0, i))
-                      for i, k in enumerate(complexes)]
-        block_rows += [(p.eq_slots,
-                        terms + _d_terms(p.source, p.target, -1, 3 + i, -1))
-                       for i, (p, terms) in enumerate(zip(probs, squares))]
-        b = _hom_matrix(ring, endo_slots + [p.var_slots for p in probs],
-                        block_rows)
-        # tr v - tr u - tr w: +-(-1)^n on the diagonals of the endo blocks
-        defect = [ring.zero()] * b.cols
-        pos = 0
-        for sign, slots in zip((-1, 1, -1), endo_slots):
-            for n, r, _ in slots:
-                x = ring.element(-sign if n % 2 else sign)
-                for i in range(r):
-                    defect[pos + i * r + i] = x
-                pos += r * r
-        return Matrix(ring, b.rows + 1, b.cols, b.entries + tuple(defect))
-
-    def counts(self) -> tuple[int, int]:
-        """(examined, violations) over all triples, visiting none.
-
-        The examined triples, each with a homotopy (h_L, h_R, h_C) per
-        square, are the solutions of one linear system B,
-
-            D(u) = D(v) = D(w) = 0,
-            v j - j u = D(h_L),  q v - w q = D(h_R),
-            u[1] delta - delta w = D(h_C),
-
-        and the additive ones solve B plus the row tr v - tr u - tr w,
-        both written by `matrix` from these terms.  The homotopies of one
-        triple form a coset of the three problems' homotopy cycles Z^-1,
-        so each kernel is exactly |Z^-1_L| |Z^-1_R| |Z^-1_C| times its
-        triple count.
-        """
-        fibre = prod(p.count for p in (self.left_prob, self.right_prob,
-                                       self.conn_prob))
-        full = self.matrix()
-        b = Matrix(full.ring, full.rows - 1, full.cols,
-                   full.entries[:(full.rows - 1) * full.cols])
-        examined, additive = (LinearSolver(m).kernel_count for m in (b, full))
-        if examined % fibre or additive % fibre:
-            raise RuntimeError("kernel count is not a multiple of the "
-                               "homotopy cycles; solver bug")
-        return examined // fibre, (examined - additive) // fibre
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ The other half of the module measures endomorphism triples (one endo per
 complex) against such a sequence: do the two squares commute, strictly or
 up to chain homotopy, and do the graded traces add up?  The failure of
 the latter when the ring has nilpotents is the phenomenon the search
-module hunts for; here we only measure a single given triple.
+module hunts for; here the triples of one sequence are measured, one by
+one or all at once.
 
 Besides the two visible squares there is a third, hidden one: the
 sequence carries a boundary map from the quotient into the shifted sub
@@ -19,21 +20,33 @@ complex (for an extension in block form it is just the glueing twist),
 and a triple can also be asked to commute with it up to homotopy.  That
 extra square is exactly what separates genuine additivity failures from
 bookkeeping artifacts — see `connecting_map` and `connecting_square`.
+
+One private system per sequence, `_SesSystem`, holds its boundary,
+square problems and endo spaces; it classifies triples for every search
+mode, draws the fillers of strict triples, and counts triples without
+visiting them: with one homotopy per square as an unknown, every
+condition on (u, v, w) is linear, so examined and additive triples are
+kernel counts of one Hom-complex system (see _SesSystem.counts).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from random import Random
 from typing import Iterator, Mapping, Optional
 
 from .complexes import (
     ChainMap,
+    ChainMapSpace,
     HomComplex,
     PerfectComplex,
     Validation,
     _VALID,
+    _Term,
+    _d_terms,
+    _hom_matrix,
     _hom_slots,
     _twisted_sum,
 )
@@ -284,12 +297,18 @@ class _Pair:
         return NullHomotopyProblem(self.quotient, self.sub.shift(1))
 
 
-class _SequenceSquares:
-    """The squares of one sequence K -> L -> M, decided triple by triple
-    (endos assumed to be chain endomorphisms): the sequence's boundary
-    delta and a null-homotopy problem per square, left K -> L and right
-    L -> M of the sequence, connecting M -> K[1] of its pair (K, M), each
-    read the first time a square that is not strict needs it."""
+Violation = tuple[ShortExactSequence, EndoTriple, AdditivityReport]
+Classified = tuple[ShortExactSequence, EndoTriple, AdditivityReport,
+                   SquareStatus]
+
+
+class _SesSystem:
+    """Everything asked of one sequence K -> L -> M (endos assumed to be
+    chain endomorphisms): its boundary delta, a null-homotopy problem per
+    square, left K -> L and right L -> M of the sequence, connecting
+    M -> K[1] of its pair (K, M), and its three endo spaces.  Each is
+    built on first use: a triple whose squares all commute on the nose
+    builds no problem, and `counts` builds no endo space."""
 
     def __init__(self, ses: ShortExactSequence, pair: Optional[_Pair] = None):
         self.ses = ses
@@ -310,6 +329,18 @@ class _SequenceSquares:
     @cached_property
     def conn_prob(self) -> NullHomotopyProblem:
         return self.pair.connecting
+
+    @cached_property
+    def u_space(self) -> ChainMapSpace:
+        return ChainMapSpace(self.ses.sub, self.ses.sub)
+
+    @cached_property
+    def v_space(self) -> ChainMapSpace:
+        return ChainMapSpace(self.ses.middle, self.ses.middle)
+
+    @cached_property
+    def w_space(self) -> ChainMapSpace:
+        return ChainMapSpace(self.ses.quotient, self.ses.quotient)
 
     def _square(self, diff: ChainMap, problem: str) -> SquareStatus:
         """One square from the difference of its two composites; `problem`
@@ -341,6 +372,100 @@ class _SequenceSquares:
     def connecting(self, u: ChainMap, w: ChainMap) -> SquareStatus:
         return self._square(self.connecting_diff(u, w), "conn_prob")
 
+    def sample_filler(self, u: ChainMap, w: ChainMap,
+                      rng: Random) -> Optional[dict[int, Matrix]]:
+        """A uniform filler t, blocks t^n: M^n -> K^n, that makes [[u, t],
+        [0, w]] a chain endo of a block-form middle, so that both visible
+        squares commute strictly; None when the pair (u, w) has none."""
+        diff, problem = self.connecting_diff(u, w), self.conn_prob
+        # a filler solves d_sub t - t d_quo = diff, i.e. D(t) = -diff here
+        filler = problem.solver.sample_solution(
+            problem.flatten(lambda n: -diff.comp(n)), rng)
+        return None if filler is None else problem.to_blocks(filler)
+
+    def classify(self, triple: EndoTriple) -> Classified:
+        """Decide the three squares of one triple, each with a witness,
+        and its trace defect: the one per-triple check of every mode, as
+        check_triple and connecting_square but without endo validation."""
+        return (self.ses, triple, self.visible(triple),
+                self.connecting(triple.on_sub, triple.on_quotient))
+
+    def triples(self) -> Iterator[Classified]:
+        """Every triple, classified, in enumeration order: middle endo,
+        then sub endo, then quotient endo.  The slow oracle of counts."""
+        for v in self.v_space.iter_all():
+            for u in self.u_space.iter_all():
+                for w in self.w_space.iter_all():
+                    yield self.classify(EndoTriple(u, v, w))
+
+    def first_violation(self) -> Optional[Violation]:
+        """The first examined triple with nonzero defect, or None."""
+        for ses, triple, report, conn in self.triples():
+            if report.squares_hold and conn.holds and report.defect:
+                return ses, triple, report
+        return None
+
+    def matrix(self) -> Matrix:
+        """B of `counts` with the defect row last: block rows D(u), D(v),
+        D(w) and each square's difference minus D(h), in (u, v, w, h_L,
+        h_R, h_C), all written by `_hom_matrix`."""
+        ses, ring = self.ses, self.ses.ring
+        j, q, delta = ses.inclusion, ses.projection, self.delta
+        complexes = (ses.sub, ses.middle, ses.quotient)
+        endo_slots = [_hom_slots(k, k, 0) for k in complexes]
+        probs = (self.left_prob, self.right_prob, self.conn_prob)
+        # unknowns 0..2 are u, v, w and 3..5 the homotopies h_L, h_R, h_C;
+        # the squares' differences are v j - j u, q v - w q, u[1] delta -
+        # delta w
+        squares = ([_Term(1, j.comp, left=False), _Term(0, j.comp, sign=-1)],
+                   [_Term(1, q.comp), _Term(2, q.comp, left=False, sign=-1)],
+                   [_Term(0, delta.comp, shift=1, left=False),
+                    _Term(2, delta.comp, sign=-1)])
+        block_rows = [(_hom_slots(k, k, 1), _d_terms(k, k, 0, i))
+                      for i, k in enumerate(complexes)]
+        block_rows += [(p.eq_slots,
+                        terms + _d_terms(p.source, p.target, -1, 3 + i, -1))
+                       for i, (p, terms) in enumerate(zip(probs, squares))]
+        b = _hom_matrix(ring, endo_slots + [p.var_slots for p in probs],
+                        block_rows)
+        # tr v - tr u - tr w: +-(-1)^n on the diagonals of the endo blocks
+        defect = [ring.zero()] * b.cols
+        pos = 0
+        for sign, slots in zip((-1, 1, -1), endo_slots):
+            for n, r, _ in slots:
+                x = ring.element(-sign if n % 2 else sign)
+                for i in range(r):
+                    defect[pos + i * r + i] = x
+                pos += r * r
+        return Matrix(ring, b.rows + 1, b.cols, b.entries + tuple(defect))
+
+    def counts(self) -> tuple[int, int]:
+        """(examined, violations) over all triples, visiting none.
+
+        The examined triples, each with a homotopy (h_L, h_R, h_C) per
+        square, are the solutions of one linear system B,
+
+            D(u) = D(v) = D(w) = 0,
+            v j - j u = D(h_L),  q v - w q = D(h_R),
+            u[1] delta - delta w = D(h_C),
+
+        and the additive ones solve B plus the row tr v - tr u - tr w,
+        both written by `matrix` from these terms.  The homotopies of one
+        triple form a coset of the three problems' homotopy cycles Z^-1,
+        so each kernel is exactly |Z^-1_L| |Z^-1_R| |Z^-1_C| times its
+        triple count.
+        """
+        fibre = prod(p.count for p in (self.left_prob, self.right_prob,
+                                       self.conn_prob))
+        full = self.matrix()
+        b = Matrix(full.ring, full.rows - 1, full.cols,
+                   full.entries[:(full.rows - 1) * full.cols])
+        examined, additive = (LinearSolver(m).kernel_count for m in (b, full))
+        if examined % fibre or additive % fibre:
+            raise RuntimeError("kernel count is not a multiple of the "
+                               "homotopy cycles; solver bug")
+        return examined // fibre, (examined - additive) // fibre
+
 
 def check_triple(ses: ShortExactSequence,
                  triple: EndoTriple) -> AdditivityReport:
@@ -365,7 +490,7 @@ def check_triple(ses: ShortExactSequence,
         if not v:
             raise ValueError(f"endo on {name} is not a chain map: "
                              f"{v.message}")
-    return _SequenceSquares(ses).visible(triple)
+    return _SesSystem(ses).visible(triple)
 
 
 def connecting_square(ses: ShortExactSequence, on_sub: ChainMap,
@@ -386,7 +511,7 @@ def connecting_square(ses: ShortExactSequence, on_sub: ChainMap,
     are assumed to be valid chain endomorphisms (check_triple enforces
     that).
     """
-    return _SequenceSquares(ses).connecting(on_sub, on_quotient)
+    return _SesSystem(ses).connecting(on_sub, on_quotient)
 
 
 # ---------------------------------------------------------------------------

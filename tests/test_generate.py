@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from chaintrace import generate
 from chaintrace.complexes import ChainMap, ChainMapSpace, PerfectComplex
 from chaintrace.detline import det_of_automorphism
 from chaintrace.generate import (
@@ -29,6 +28,7 @@ from chaintrace.ses import (
     connecting_square,
     make_extension,
     validate_ses,
+    _SesSystem,
 )
 
 Z4 = RingSpec(4)
@@ -48,14 +48,12 @@ def lift(monkeypatch):
     triple it lifts the pair to, or None when it finds no filler."""
     draws = []
 
-    class FixedDraws:   # stands in for the two endo spaces it samples
-        def __init__(self, source, target):
-            pass
-
+    class FixedDraws:   # stands in for the system's two outer endo spaces
         def sample(self, rng):
             return draws.pop(0)
 
-    monkeypatch.setattr(generate, "ChainMapSpace", FixedDraws)
+    for name in ("u_space", "w_space"):
+        monkeypatch.setattr(_SesSystem, name, property(lambda _: FixedDraws()))
 
     def lift_pair(ses, u, w, seed=0):
         draws[:] = [u, w]
@@ -203,6 +201,19 @@ def test_strict_automorphism_triples_multiply_determinants():
             dw = det_of_automorphism(triple.on_quotient)
             assert dv == du * dw
     assert found >= 15
+
+
+def test_strict_automorphism_triple_gives_up_after_its_attempts():
+    # seed 2 draws u = 0, not a unit of Z/4: with one attempt there is no
+    # automorphism to lift, while without the condition u lifts as drawn
+    k = PerfectComplex.single(Z4, 0, 1)
+    ses = make_extension(k, k)
+    assert ChainMapSpace(k, k).sample(random.Random(2)).comp(0) == \
+        M(Z4, [[0]])
+    assert random_strict_triple(random.Random(2), ses, attempts=1,
+                                automorphisms=True) is None
+    triple = random_strict_triple(random.Random(2), ses, attempts=1)
+    assert triple.on_sub.comp(0) == M(Z4, [[0]])
 
 
 def test_assemble_block_endo_matches_filler(lift):

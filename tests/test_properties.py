@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from chaintrace import cli
 from chaintrace.complexes import ChainMap, ChainMapSpace, HomComplex, _hom_d
-from chaintrace.generate import random_complex, random_matrix
-from chaintrace.homotopy import NullHomotopyProblem
+from chaintrace.generate import random_complex, random_homotopy, random_matrix
+from chaintrace.homotopy import NullHomotopyProblem, perturb
 from chaintrace.linalg import LinearSolver, Matrix
 from chaintrace.rings import RingSpec
 from chaintrace.search import (
@@ -139,6 +139,25 @@ def test_hom_counts_match_enumeration(case):
     if ring.cardinality ** problem.n_vars <= ENUMERABLE:
         images, _ = brute_null_homotopy_images(s, t)
         assert problem.solver.image_count == len(images)
+
+
+@deterministic
+@given(st.sampled_from((RingSpec(4), RingSpec(6), RingSpec(3, True))),
+       st.integers(0, 2 ** 32 - 1))
+def test_coset_keys_agree_exactly_on_homotopic_maps(ring, seed):
+    # g is f moved by a random d h + h d, or an unrelated chain map: the
+    # keys of f and g agree exactly when f - g is null-homotopic
+    rng = random.Random(seed)
+    s = random_complex(rng, ring, max_window=3, max_rank=2)
+    t = random_complex(rng, ring, max_window=3, max_rank=2,
+                       lo=rng.randrange(-1, 2))
+    space, problem = ChainMapSpace(s, t), NullHomotopyProblem(s, t)
+    f = space.sample(rng)
+    moved = perturb(f, random_homotopy(rng, s, t))
+    assert problem.coset_key(moved) == problem.coset_key(f)
+    for g in (moved, space.sample(rng)):
+        same = problem.coset_key(f) == problem.coset_key(g)
+        assert same == (problem.solve_for(f - g) is not None)
 
 
 # -- the exhaustive search's admission check ----------------------------------

@@ -27,7 +27,6 @@ from chaintrace.search import (
     CeilingExceededError,
     SearchConfig,
     SearchOutcome,
-    _SesSystem,
     _tally,
     build_counterexample,
     certify,
@@ -41,6 +40,7 @@ from chaintrace.ses import (
     connecting_square,
     make_extension,
     validate_ses,
+    _SesSystem,
 )
 
 Z2 = RingSpec(2)
@@ -141,6 +141,32 @@ def test_certify_rejects_tampered_report():
         1, (ses, triple, dataclasses.replace(honest, defect=Z4.element(1))), 1)
     verdict = certify(tampered)
     assert not verdict and verdict.kind == "mismatch"
+
+
+def test_certify_refuses_a_broken_sequence_endo_or_square():
+    out = wrap_instance(*build_counterexample(Z4)[:2])
+    ses, triple, report = out.first_violation
+    sub, quo = ses.sub, ses.quotient
+    # a middle whose d^0 is 1x2 where 1x1 is due, carrying the same maps
+    mid = PerfectComplex(Z4, 0, (1, 1), (M(Z4, [[2, 0]]),))
+    broken_ses = replace(
+        ses, middle=mid,
+        inclusion=ChainMap.build(sub, mid, {1: ses.inclusion.comp(1)}),
+        projection=ChainMap.build(mid, quo, {0: ses.projection.comp(0)}))
+    # a sub endo with a 2x2 block on a rank-one degree
+    broken_u = replace(triple, on_sub=ChainMap.build(
+        sub, sub, {1: Matrix.identity(Z4, 2)}))
+    # v = 1 breaks the left square: v j - j u = 1 is not a multiple of 2,
+    # unlike every d h + h d
+    broken_v = replace(triple, on_middle=ChainMap.identity(ses.middle))
+    assert not check_triple(ses, broken_v).left.holds
+    cases = [(broken_ses, triple, "ses", "middle complex invalid"),
+             (ses, broken_u, "endo", "endo on sub is not a chain map"),
+             (ses, broken_v, "square", "a visible square")]
+    for s, t, kind, message in cases:
+        verdict = certify(SearchOutcome(1, (s, t, report), 1))
+        assert not verdict and verdict.kind == kind
+        assert message in verdict.message
 
 
 def test_certify_derives_the_boundary_afresh():
@@ -248,6 +274,16 @@ def test_closed_form_matches_slow_sweep_where_signs_matter():
         assert system.first_violation() == slow.first_violation, ring
 
 
+def test_first_violation_is_none_on_a_sequence_without_one():
+    # the split sequence of the counterexample's complexes: its triples
+    # are examined, none is a violation, and the scan finds none
+    ses, _, _ = build_counterexample(Z4)
+    system = _SesSystem(make_extension(ses.sub, ses.quotient))
+    examined, violations = system.counts()
+    assert examined and not violations
+    assert system.first_violation() is None
+
+
 def test_system_matrix_matches_products_on_random_blocks():
     """B with its defect row (`_SesSystem.matrix`), applied to random
     (u, v, w, h_L, h_R, h_C) that are mostly not cycles, equals D of each
@@ -347,22 +383,14 @@ def test_default_ceiling_admits_a_large_closed_form_count():
 def test_closed_form_walks_the_extensions_once(monkeypatch):
     # Z/3 w2r1: 5 complexes, 49 sequences, no violation.  The budget is
     # taken from twist counts, so each extension is built once, for the
-    # sweep, and no endo space is factored at all
-    calls = {"make_extension": 0, "ChainMapSpace": 0}
-
-    def counting(name):
-        real = getattr(chaintrace.search, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(chaintrace.search, name, wrapper)
-
-    for name in calls:
-        counting(name)
+    # sweep, and no endo space is factored at all, neither by admission
+    # nor by a sequence's system
+    extensions = count_calls(monkeypatch, chaintrace.search, "make_extension")
+    spaces = [count_calls(monkeypatch, module, "ChainMapSpace")
+              for module in (chaintrace.search, ses_module)]
     cfg = SearchConfig(Z3, max_window=2, max_rank=1, mode="exhaustive")
     assert search_violation(cfg) == SearchOutcome(0, None, 20743)
-    assert calls == {"make_extension": 49, "ChainMapSpace": 0}
+    assert len(extensions) == 49 and spaces == [[], []]
 
 
 def count_calls(monkeypatch, module, name):

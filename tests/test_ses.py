@@ -25,13 +25,13 @@ from chaintrace.homotopy import (
 )
 from chaintrace.linalg import Matrix
 from chaintrace.rings import RingSpec
-from chaintrace.search import _SesSystem, build_counterexample
+from chaintrace.search import build_counterexample
 from chaintrace.ses import (
     CocycleSpace,
     EndoTriple,
     ShortExactSequence,
     SquareStatus,
-    _SequenceSquares,
+    _SesSystem,
     _block_maps,
     check_triple,
     connecting_map,
@@ -168,6 +168,65 @@ def test_validate_ses_catches_exactness_gap_in_middle():
     v = validate_ses(ShortExactSequence(k, l, big, j, q))
     assert not v
     assert v.kind == "exact"
+
+
+def structural_refusals():
+    """A hand-built sequence for each refusal validate_ses makes before
+    it composes the maps, with the kind, degree and message expected."""
+    k, l = PerfectComplex.single(Z4, 0, 1), PerfectComplex.single(Z4, 0, 2)
+    j = ChainMap.build(k, l, {0: M(Z4, [[1], [0]])})
+    q = ChainMap.build(l, k, {0: M(Z4, [[0, 1]])})
+    other_ring = PerfectComplex.single(RingSpec(2), 0, 1)
+    # d^1 d^0 = 1: a middle that is not a complex
+    bad = PerfectComplex.build(Z4, 0, [1, 1, 1],
+                               {0: M(Z4, [[1]]), 1: M(Z4, [[1]])})
+    # R --1--> R in degrees 0..1, which k maps into by 1 in degree 0:
+    # d j = 1 but j d = 0 there
+    cone = PerfectComplex.build(Z4, 0, [1, 1], {0: M(Z4, [[1]])})
+    top = PerfectComplex.single(Z4, 1, 1)
+    return [
+        pytest.param(ShortExactSequence(other_ring, l, k, j, q), "ring", None,
+                     "the three complexes live over different rings",
+                     id="ring"),
+        pytest.param(ShortExactSequence(k, l, k, ChainMap.identity(l), q),
+                     "structure", None,
+                     "inclusion does not run sub -> middle", id="inclusion"),
+        pytest.param(ShortExactSequence(k, l, k, j, ChainMap.identity(l)),
+                     "structure", None,
+                     "projection does not run middle -> quotient",
+                     id="projection"),
+        pytest.param(ShortExactSequence(k, bad, k, ChainMap.zero(k, bad),
+                                        ChainMap.zero(bad, k)),
+                     "complex", 0, "middle complex invalid: d^1 d^0 != 0",
+                     id="complex"),
+        pytest.param(ShortExactSequence(
+            k, cone, top, ChainMap.build(k, cone, {0: M(Z4, [[1]])}),
+            ChainMap.build(cone, top, {1: M(Z4, [[1]])})),
+            "chain-map", 0,
+            "inclusion is not a chain map: d f != f d at degree 0",
+            id="chain-map"),
+    ]
+
+
+@pytest.mark.parametrize("ses, kind, degree, message", structural_refusals())
+def test_validate_ses_structural_refusals(ses, kind, degree, message):
+    v = validate_ses(ses)
+    assert not v
+    assert (v.kind, v.degree, v.message) == (kind, degree, message)
+
+
+def test_connecting_map_refuses_a_non_exact_sequence_out_of_block_form():
+    # the inclusion of R in degree 1 is zero, so the middle's d s = 1
+    # has no preimage under it: no boundary exists
+    sub, quo = PerfectComplex.single(Z4, 1, 1), PerfectComplex.single(Z4, 0, 1)
+    mid = PerfectComplex.build(Z4, 0, [1, 1], {0: M(Z4, [[1]])})
+    ses = ShortExactSequence(sub, mid, quo, ChainMap.zero(sub, mid),
+                             ChainMap.build(mid, quo, {0: M(Z4, [[1]])}))
+    with pytest.raises(ValueError, match="not in block form"):
+        extension_twist(ses)
+    with pytest.raises(ValueError, match="^no boundary at degree 0: is the "
+                                         "sequence exact\\?$"):
+        connecting_map(ses)
 
 
 def test_find_section_is_right_inverse():
@@ -312,7 +371,7 @@ def test_prepared_problems_give_same_squares():
     # a square context handed problems built elsewhere decides the visible
     # squares exactly as check_triple's own context does
     ses = two_step_extension(Z3E, Z3E.epsilon())
-    squares = _SequenceSquares(ses)
+    squares = _SesSystem(ses)
     squares.left_prob = NullHomotopyProblem(ses.sub, ses.middle)
     squares.right_prob = NullHomotopyProblem(ses.middle, ses.quotient)
     v = ChainMap.build(ses.middle, ses.middle,
@@ -509,7 +568,7 @@ def test_connecting_square_blocks_two_square_impostors_over_a_field():
 
 def test_connecting_square_accepts_prepared_delta_and_problem():
     ses = two_step_extension(Z4, Z4.element(2))
-    squares = _SequenceSquares(ses)
+    squares = _SesSystem(ses)
     squares.delta = connecting_map(ses)
     squares.conn_prob = NullHomotopyProblem(ses.quotient, ses.sub.shift(1))
     u = ChainMap.identity(ses.sub)
