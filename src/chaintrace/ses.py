@@ -46,6 +46,7 @@ from .complexes import (
     _VALID,
     _Term,
     _d_terms,
+    _hom_d,
     _hom_matrix,
     _hom_slots,
     _twisted_sum,
@@ -73,34 +74,14 @@ class ShortExactSequence:
     # and repr do not see it; make_extension stores the one it validated
     @cached_property
     def _delta(self) -> ChainMap:
-        try:
-            twist = extension_twist(self)
-        except ValueError:  # not in block form: solve for the boundary
-            ring, mid, quo = self.ring, self.middle, self.quotient
-            section = find_section(self)
-            comps = {}
-            for n in quo.degrees():
-                if quo.rank(n) * self.sub.rank(n + 1) == 0:
-                    continue
-                s_next = section.get(n + 1, Matrix.zero(
-                    ring, mid.rank(n + 1), quo.rank(n + 1)))
-                comps[n] = _solve_columns(
-                    self.inclusion.comp(n + 1),
-                    mid.diff(n) @ section[n] - s_next @ quo.diff(n),
-                    f"no boundary at degree {n}: is the sequence exact?")
-        else:
-            return _boundary(self.sub, self.quotient, twist)
-        delta = ChainMap.build(quo, self.sub.shift(1), comps)
-        check = delta.validate()
-        if not check:
-            raise RuntimeError(f"boundary map fails its chain condition at "
-                               f"degree {check.degree}; solver bug")
-        return delta
-
-    def __str__(self) -> str:
-        return (f"short exact sequence over {self.ring}: "
-                f"ranks {list(self.sub.ranks)} -> {list(self.middle.ranks)} "
-                f"-> {list(self.quotient.ranks)}")
+        # the section as a degree-0 element of Hom(M, L), not a chain map
+        s = ChainMap.build(self.quotient, self.middle, find_section(self))
+        return _boundary(self.sub, self.quotient, {
+            n: _solve_columns(
+                self.inclusion.comp(n + 1), ds,
+                f"no boundary at degree {n}: is the sequence exact?")
+            for n, ds in _hom_d(self.quotient, self.middle, 0, s.comp)
+            if self.sub.rank(n + 1)})
 
 
 def validate_ses(ses: ShortExactSequence) -> Validation:
@@ -162,7 +143,8 @@ def validate_ses(ses: ShortExactSequence) -> Validation:
 def _solve_columns(mat: Matrix, rhs: Matrix, failure: str) -> Matrix:
     """The matrix X with mat @ X = rhs, solved column by column through
     one factorisation of `mat`; ValueError(failure) when some column of
-    rhs has no preimage."""
+    rhs has no preimage, RuntimeError when the solver's answer fails
+    mat @ X = rhs."""
     solver = LinearSolver(mat)
     cols: list[tuple[RingElem, ...]] = []
     for c in range(rhs.cols):
@@ -170,9 +152,12 @@ def _solve_columns(mat: Matrix, rhs: Matrix, failure: str) -> Matrix:
         if not rep.solvable:
             raise ValueError(failure)
         cols.append(rep.witness)
-    return Matrix(mat.ring, mat.cols, rhs.cols,
-                  tuple(cols[c][r] for r in range(mat.cols)
-                        for c in range(rhs.cols)))
+    x = Matrix(mat.ring, mat.cols, rhs.cols,
+               tuple(cols[c][r] for r in range(mat.cols)
+                     for c in range(rhs.cols)))
+    if mat @ x != rhs:
+        raise RuntimeError("column solution fails re-evaluation; solver bug")
+    return x
 
 
 def find_section(ses: ShortExactSequence) -> dict[int, Matrix]:
@@ -196,19 +181,20 @@ def find_section(ses: ShortExactSequence) -> dict[int, Matrix]:
 def connecting_map(ses: ShortExactSequence) -> ChainMap:
     """The boundary of the sequence: a chain map quotient -> sub.shift(1).
 
-    For an extension in canonical block form this is the glueing twist,
-    read straight off the middle differential and checked as a chain map
-    (ValueError when the middle breaks its chain condition).  In general
-    it lifts through a degreewise section s of the projection: d_middle
-    s - s d_quotient lands in the kernel of the projection, which is the
-    image of the inclusion j, so delta is the unique solution of
+    make_extension keeps the boundary it built and checked.  Any other
+    sequence derives it once, as the connecting homomorphism of Hom(M, -):
+    a degreewise section s of the projection q (find_section) has
+    q D(s) = 0 for D(s) = d_middle s - s d_quotient, so D(s) lands in the
+    image of the inclusion j, and delta is the unique solution of
 
         j^(n+1) delta^n = d_middle^n s^n - s^(n+1) d_quotient^n
 
-    (unique because j is injective).  A different section changes delta
-    by a null-homotopic map only, so everything downstream asks about
-    null-homotopy classes, derived once per sequence.  Assumes the
-    sequence is valid (run validate_ses first when in doubt).
+    (unique because j is injective).  For a block-form extension the
+    section is [0; I] and delta is its twist.  A different section
+    changes delta by a null-homotopic map only, so everything downstream
+    asks about null-homotopy classes.  ValueError when no delta exists
+    (the sequence is not exact) or when it breaks its chain condition
+    (the middle is not a complex); run validate_ses first when in doubt.
     """
     return ses._delta
 
@@ -522,8 +508,9 @@ def connecting_square(ses: ShortExactSequence, on_sub: ChainMap,
 def _boundary(sub: PerfectComplex, quotient: PerfectComplex,
               twist: Mapping[int, Matrix]) -> ChainMap:
     """The twist as the chain map quotient -> sub.shift(1), the boundary
-    of the extension it glues: its chain condition is d_sub t + t d_quo
-    = 0.  ValueError naming the degree unless it is a valid chain map."""
+    of the extension it glues (or the boundary connecting_map derived):
+    its chain condition is d_sub t + t d_quo = 0.  ValueError naming the
+    degree unless it is a valid chain map."""
     try:
         delta = ChainMap.build(quotient, sub.shift(1), twist)
     except ValueError as exc:

@@ -1,7 +1,8 @@
 """Each script in demos/ runs to completion against the package in src/
-and prints its headline result, and the README's example session runs
-as written."""
+and prints its headline result, the README's example session runs as
+written, and its command table lists the command line's subcommands."""
 
+import argparse
 import doctest
 import os
 import re
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from chaintrace import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,3 +40,11 @@ def test_readme_example_session():
                                                "README.md", 0)
     result = doctest.DocTestRunner().run(test)
     assert result == doctest.TestResults(failed=0, attempted=6)
+
+
+def test_readme_command_table_lists_every_subcommand():
+    text = (ROOT / "README.md").read_text()
+    listed = re.findall(r"^\| `chaintrace ([\w-]+)", text, re.M)
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert listed == list(subparsers.choices)

@@ -129,6 +129,19 @@ def test_find_null_homotopy_rejects_non_chain_map():
         find_null_homotopy(bad)
 
 
+def test_perturb_and_are_homotopic_refuse_mismatched_maps():
+    k, l = two_term(Z4, 2), PerfectComplex.single(Z4, 0, 1)
+    f = ChainMap.identity(k)
+    for h in (Homotopy.zero(l, k), Homotopy.zero(k, l)):
+        with pytest.raises(ValueError, match="^homotopy does not match the "
+                                             "map's source/target$"):
+            perturb(f, h)
+    for g in (ChainMap.zero(l, k), ChainMap.zero(k, l)):
+        with pytest.raises(ValueError, match="^maps have different source "
+                                             "or target$"):
+            are_homotopic(f, g)
+
+
 def brute_null_homotopy_images(src, tgt):
     """Oracle: evaluate d h + h d for every homotopy h, by direct matrix
     arithmetic (no SNF anywhere), and collect the flattened images."""

@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 
 from chaintrace import cli
 from chaintrace.complexes import ChainMap, ChainMapSpace, HomComplex, _hom_d
-from chaintrace.generate import random_complex, random_homotopy, random_matrix
+from chaintrace.generate import (
+    random_complex,
+    random_homotopy,
+    random_matrix,
+    random_strict_triple,
+)
 from chaintrace.homotopy import NullHomotopyProblem, perturb
 from chaintrace.linalg import LinearSolver, Matrix
 from chaintrace.rings import RingSpec
@@ -30,6 +35,8 @@ from chaintrace.search import (
 from chaintrace.ses import (
     CocycleSpace,
     EndoTriple,
+    _SesSystem,
+    check_triple,
     connecting_map,
     extension_twist,
     make_extension,
@@ -37,6 +44,7 @@ from chaintrace.ses import (
 from chaintrace.textio import parse_document, ses_file
 from test_complexes import brute_hom_cycles
 from test_homotopy import brute_null_homotopy_images
+from test_ses import change_middle_basis, trace_pairing
 
 RINGS = (RingSpec(4), RingSpec(6), RingSpec(2, True), RingSpec(3, True))
 
@@ -71,11 +79,39 @@ def test_cocycle_twists_are_accepted_and_are_the_boundary(case):
         twist = space.sample(rng)
         ses = make_extension(k, m, twist)
         assert extension_twist(ses) == twist
-        # the stored boundary, and the one a field-by-field copy reads back
-        # off its block form
+        # the stored boundary, and the one a field-by-field copy derives
+        # through the section [0; I] of its block projection
         delta = ChainMap.build(m, k.shift(1), twist)
         assert connecting_map(ses) == delta
         assert connecting_map(dataclasses.replace(ses)) == delta
+
+
+@deterministic
+@given(pairs(), st.booleans())
+def test_defect_is_the_trace_pairing_of_the_squares(case, basis_change):
+    # for a triple whose two visible squares hold, with witnesses h_L and
+    # h_R: defect = sum_n (-1)^n Tr(delta^(n-1) (q h_L - h_R j)^n).  The
+    # triples are random endos and a strict triple perturbed by random
+    # homotopies, on the extension or on its middle in another basis
+    ring, rng, k, m = case
+    ses = make_extension(k, m, CocycleSpace(k, m).sample(rng))
+    system = _SesSystem(ses)
+    triples = [EndoTriple(system.u_space.sample(rng),
+                          system.v_space.sample(rng),
+                          system.w_space.sample(rng)) for _ in range(6)]
+    strict = random_strict_triple(rng, ses)
+    if strict is not None:
+        triples.append(EndoTriple(*(
+            perturb(f, random_homotopy(rng, f.source, f.source))
+            for f in (strict.on_sub, strict.on_middle, strict.on_quotient))))
+    if basis_change:
+        ses, carry = change_middle_basis(rng, ses)
+        triples = [EndoTriple(t.on_sub, carry(t.on_middle), t.on_quotient)
+                   for t in triples]
+    for t in triples:
+        report = check_triple(ses, t)
+        if report.squares_hold:
+            assert trace_pairing(ses, report) == report.defect
 
 
 @deterministic

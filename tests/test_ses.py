@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -73,6 +74,43 @@ def random_automorphism(rng, ring, n):
     return p, p_inv
 
 
+def change_middle_basis(rng, ses):
+    """The sequence with its middle's basis changed by random degreewise
+    automorphisms P: d' = P d P^-1, j' = P j and q' = q P^-1, and the map
+    v -> P v P^-1 that carries a middle endo along."""
+    ring, mid = ses.ring, ses.middle
+    ps = {n: random_automorphism(rng, ring, mid.rank(n))
+          for n in mid.degrees()}
+    mid2 = PerfectComplex.build(
+        ring, mid.lo, mid.ranks,
+        {n: ps[n + 1][0] @ mid.diff(n) @ ps[n][1]
+         for n in range(mid.lo, mid.hi)})
+    ses2 = ShortExactSequence(
+        ses.sub, mid2, ses.quotient,
+        ChainMap.build(ses.sub, mid2, {n: ps[n][0] @ ses.inclusion.comp(n)
+                                       for n in mid.degrees()}),
+        ChainMap.build(mid2, ses.quotient,
+                       {n: ses.projection.comp(n) @ ps[n][1]
+                        for n in mid.degrees()}))
+    return ses2, lambda v: ChainMap.build(
+        mid2, mid2, {n: ps[n][0] @ v.comp(n) @ ps[n][1]
+                     for n in mid.degrees()})
+
+
+def trace_pairing(ses, report):
+    """sum_n (-1)^n Tr(delta^(n-1) z^n), where z = q h_L - h_R j is the
+    degree -1 cycle of Hom(K, M) made of the witnesses of the report's
+    two visible squares and delta is the sequence's boundary."""
+    j, q, delta = ses.inclusion, ses.projection, connecting_map(ses)
+    h_l, h_r = report.left.witness, report.right.witness
+    acc = ses.ring.zero()
+    for n in ses.sub.degrees():
+        z = q.comp(n - 1) @ h_l.comp(n) - h_r.comp(n) @ j.comp(n)
+        t = (delta.comp(n - 1) @ z).trace()
+        acc = acc - t if n % 2 else acc + t
+    return acc
+
+
 def two_step_extension(ring, x):
     """sub in degree 1, quotient in degree 0, glued by the 1x1 twist [[x]]."""
     sub = PerfectComplex.single(ring, 1, 1)
@@ -98,6 +136,20 @@ def test_make_extension_rejects_bad_twist():
     # and the shape police
     with pytest.raises(ValueError):
         make_extension(sub, quo, {0: M(Z4, [[1, 1]])})
+
+
+@pytest.mark.parametrize("side", ["sub", "quotient"])
+def test_make_extension_refuses_a_foreign_ring_or_an_invalid_complex(side):
+    k = PerfectComplex.single(Z4, 0, 1)
+    other = PerfectComplex.single(RingSpec(2), 0, 1)
+    # d^1 d^0 = 1: not a complex
+    bad = PerfectComplex.build(Z4, 0, [1, 1, 1],
+                               {0: M(Z4, [[1]]), 1: M(Z4, [[1]])})
+    for odd, message in ((other, "^extension needs a common ring$"),
+                         (bad, rf"^{side} complex invalid: d\^1 d\^0 != 0$")):
+        args = (odd, k) if side == "sub" else (k, odd)
+        with pytest.raises(ValueError, match=message):
+            make_extension(*args)
 
 
 def test_make_extension_refuses_twist_blocks_outside_the_window():
@@ -464,24 +516,10 @@ def test_connecting_map_fallback_agrees_across_presentations():
         rng = random.Random(f"presentations {ring}")
         for _ in range(8):
             ses = random_extension(rng, ring, max_window=3, max_rank=2)
-            mid = ses.middle
-            if not any(mid.ranks):
+            if not any(ses.middle.ranks):
                 continue  # no basis to change
             while True:  # until P leaves the block form
-                ps = {n: random_automorphism(rng, ring, mid.rank(n))
-                      for n in mid.degrees()}
-                mid2 = PerfectComplex.build(
-                    ring, mid.lo, mid.ranks,
-                    {n: ps[n + 1][0] @ mid.diff(n) @ ps[n][1]
-                     for n in range(mid.lo, mid.hi)})
-                ses2 = ShortExactSequence(
-                    ses.sub, mid2, ses.quotient,
-                    ChainMap.build(ses.sub, mid2,
-                                   {n: ps[n][0] @ ses.inclusion.comp(n)
-                                    for n in mid.degrees()}),
-                    ChainMap.build(mid2, ses.quotient,
-                                   {n: ses.projection.comp(n) @ ps[n][1]
-                                    for n in mid.degrees()}))
+                ses2, _ = change_middle_basis(rng, ses)
                 try:
                     extension_twist(ses2)
                 except ValueError:
@@ -493,40 +531,83 @@ def test_connecting_map_fallback_agrees_across_presentations():
                 is not None, ring
 
 
-def test_connecting_map_refuses_a_block_form_middle_off_its_twist(
-        monkeypatch):
-    # in block form, a middle whose twist breaks the chain condition is
-    # refused as such; only a sequence out of block form is solved for
-    solved = []
-    find_section = ses_module.find_section
-    monkeypatch.setattr(ses_module, "find_section",
-                        lambda s: solved.append(s) or find_section(s))
+def middle_off_its_twist():
+    """A block-form sequence whose middle is glued by a twist t with
+    D(t) = d_sub t + t d_quo = 2 at degree 0: no complex, no boundary."""
     sub = PerfectComplex.build(Z4, 1, [1, 1], {1: M(Z4, [[2]])})
     quo = PerfectComplex.build(Z4, 0, [1, 1], {0: M(Z4, [[2]])})
     twist = {0: M(Z4, [[1]]), 1: M(Z4, [[0]])}
     mid = _twisted_sum(sub, quo, lambda n: twist.get(
         n, Matrix.zero(Z4, sub.rank(n + 1), quo.rank(n))))
     ses = ShortExactSequence(sub, mid, quo, *_block_maps(sub, quo, mid))
+    return ses, twist
+
+
+OFF_ITS_TWIST = "^twist is not a boundary map: d f != f d at degree 0$"
+
+
+def test_connecting_map_refuses_a_block_form_middle_off_its_twist():
+    # the section [0; I] of the block projection solves for the twist
+    # itself, which fails its chain condition
+    ses, twist = middle_off_its_twist()
     assert extension_twist(ses) == twist
-    with pytest.raises(ValueError, match="twist.*degree 0"):
+    with pytest.raises(ValueError, match=OFF_ITS_TWIST):
         connecting_map(ses)
-    assert not solved
-    # a presentation out of block form (a basis swap in degree 0) still
-    # goes to the solver
-    ring = RingSpec(5)
-    sub = PerfectComplex.build(ring, 0, [1, 1])
-    quo = PerfectComplex.single(ring, 0, 1)
-    ses = make_extension(sub, quo, {0: M(ring, [[1]])})
-    swap = M(ring, [[0, 1], [1, 0]])
-    mid2 = PerfectComplex.build(ring, 0, [2, 1],
-                                {0: ses.middle.diff(0) @ swap})
+
+
+def test_connecting_map_refuses_a_middle_off_its_twist_after_a_basis_change():
+    # the same sequence with the middle's degree-1 basis changed by P:
+    # j' = P j, q' = q P^-1, d' = P d and d P^-1 around degree 1.  The
+    # derivation is the same, so the refusal is the same ValueError
+    ses, _ = middle_off_its_twist()
+    mid = ses.middle
+    p, p_inv = M(Z4, [[1, 0], [1, 1]]), M(Z4, [[1, 0], [-1, 1]])
+    mid2 = PerfectComplex.build(Z4, mid.lo, mid.ranks,
+                                {0: p @ mid.diff(0), 1: mid.diff(1) @ p_inv})
     ses2 = ShortExactSequence(
-        sub, mid2, quo,
-        ChainMap.build(sub, mid2, {0: swap @ ses.inclusion.comp(0),
-                                   1: ses.inclusion.comp(1)}),
-        ChainMap.build(mid2, quo, {0: ses.projection.comp(0) @ swap}))
-    assert connecting_map(ses2).validate()
-    assert solved == [ses2]
+        ses.sub, mid2, ses.quotient,
+        ChainMap.build(ses.sub, mid2, {1: p @ ses.inclusion.comp(1),
+                                       2: ses.inclusion.comp(2)}),
+        ChainMap.build(mid2, ses.quotient,
+                       {0: ses.projection.comp(0),
+                        1: ses.projection.comp(1) @ p_inv}))
+    with pytest.raises(ValueError, match="not in block form"):
+        extension_twist(ses2)
+    with pytest.raises(ValueError, match=OFF_ITS_TWIST):
+        connecting_map(ses2)
+
+
+def test_solve_columns_refuses_a_wrong_solver_answer(monkeypatch):
+    # a solver whose witness is off by one in its first entry
+    solve = ses_module.LinearSolver.solve
+
+    def wrong(self, rhs):
+        rep = solve(self, rhs)
+        x = rep.witness
+        return dataclasses.replace(
+            rep, witness=(x[0] + x[0].ring.one(),) + tuple(x[1:]))
+
+    mat = M(Z4, [[1, 0], [0, 1]])
+    assert ses_module._solve_columns(mat, mat, "unused") == mat
+    monkeypatch.setattr(ses_module.LinearSolver, "solve", wrong)
+    with pytest.raises(RuntimeError, match="solver bug"):
+        ses_module._solve_columns(mat, mat, "unused")
+
+
+def test_defect_is_the_trace_pairing_on_the_counterexamples():
+    # the minimal violation over each ring with a square-zero element, and
+    # every examined triple of its sequence: the defect is the pairing of
+    # the boundary with the visible squares' witnesses, nonzero included
+    for ring in (Z4, Z2E, Z3E, RingSpec(9)):
+        ses, triple, _ = build_counterexample(ring)
+        report = check_triple(ses, triple)
+        assert report.defect and trace_pairing(ses, report) == report.defect
+        defects = set()
+        for _, _, report, conn in _SesSystem(ses).triples():
+            if report.squares_hold and conn.holds:
+                assert trace_pairing(ses, report) == report.defect, ring
+                defects.add(report.defect)
+        assert len(defects) > 1, ring
 
 
 def test_connecting_square_strict_when_both_outer_endos_vanish():
