@@ -10,8 +10,9 @@ form there.  A system over Z/m[e] is handled by splitting x = x0 + e*x1
 and solving the doubled block system  [[A0, 0], [A1, A0]] [x0; x1] = [b0; b1]
 over Z/m, which is an exact translation of the original problem.  The
 diagonal S stays an exact integer matrix because the pivot choice reads
-it; the unimodular factors U and V are only accumulated, so they are
-carried mod m and their entries stay below m.
+it.  The unimodular factors U and V are never built: the elimination
+logs its row and column operations, with multipliers reduced mod m, and
+the solver replays the logs on each right-hand side and each solution.
 """
 
 from __future__ import annotations
@@ -246,16 +247,17 @@ def _berkowitz_det(mat: Matrix) -> RingElem:
 
 
 # ---------------------------------------------------------------------------
-# Integer Smith normal form
+# Integer Smith elimination
 # ---------------------------------------------------------------------------
 
 
-def smith_normal_form(
+def _smith_log(
     a: Sequence[Sequence[int]],
     modulus: Optional[int] = None,
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (U, S, V) with U*a*V = S, U and V unimodular, S diagonal and
-    each diagonal entry dividing the next.
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """Smith-eliminate a; return (S, row_ops, col_ops) with U*a*V = S for
+    the unimodular U and V that the two logs describe.  S is diagonal and
+    each diagonal entry divides the next.
 
     Classic pivoting algorithm: move a minimal-magnitude entry to the
     pivot, kill its row and column by Euclidean steps, then absorb any
@@ -269,38 +271,42 @@ def smith_normal_form(
     a pivot of magnitude 1 skips the divisibility sweep, which a unit
     always passes.
 
-    With a modulus, U and V are carried reduced mod modulus (entries in
-    [0, modulus)) and U*a*V = S holds mod modulus.  S itself always stays
-    exact: the pivot choice, the quotients and the divisibility test read
-    it, while U and V are only accumulated.  So the result is the integer
-    factorisation with U and V reduced, but without the coefficient growth
-    of the integer factors, which reach hundreds of thousands of bits on
-    lifts of a few dozen rows.
+    U and V are never built.  Each log is a flat list of triples
+    (i, t, q): for q != 0, row_i -= q * row_t (col_i -= q * col_t in the
+    column log); for q == 0, swap i and t.  So U*b replays the row log in
+    order on b, and V*y replays the column log in reverse order on y,
+    where the triple (j, t, q) does y_t -= q * y_j.  With a modulus the
+    multipliers are reduced mod modulus and a multiplier that vanishes
+    there is not logged, so the logs give U and V mod modulus.  S itself
+    always stays exact: the pivot choice, the quotients and the
+    divisibility test read it, while the logs are only written.  The
+    integer U and V would reach hundreds of thousands of bits on lifts of
+    a few dozen rows.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     s = [list(r) for r in a]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    # V is kept transposed, so its column operations are row operations
-    vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    row_ops: list[int] = []
+    col_ops: list[int] = []
 
-    def row_sub(mat, i, t, q, mod=None):
-        # row_i -= q * row_t, reduced mod `mod` when one is given
-        mi, mt = mat[i], mat[t]
-        if mod is None:
-            for j in range(len(mi)):
-                mi[j] -= q * mt[j]
-        elif q % mod:
-            q %= mod
-            for j in range(len(mi)):
-                mi[j] = (mi[j] - q * mt[j]) % mod
+    def log_sub(ops, i, t, q):
+        # i -= q * t, skipped when q vanishes mod the modulus
+        if modulus is not None:
+            q %= modulus
+        if q:
+            ops += (i, t, q)
 
-    def col_sub(mat, j, t, q):
-        for r in mat:
+    def row_sub(i, t, q):
+        si, st = s[i], s[t]
+        for j in range(cols):
+            si[j] -= q * st[j]
+
+    def col_sub(j, t, q):
+        for r in s:
             r[j] -= q * r[t]
 
-    def col_swap(mat, j, t):
-        for r in mat:
+    def col_swap(j, t):
+        for r in s:
             r[j], r[t] = r[t], r[j]
 
     t = 0
@@ -324,35 +330,35 @@ def smith_normal_form(
         pi, pj = piv
         if pi != t:
             s[pi], s[t] = s[t], s[pi]
-            u[pi], u[t] = u[t], u[pi]
+            row_ops += (pi, t, 0)
         if pj != t:
-            col_swap(s, pj, t)
-            vt[pj], vt[t] = vt[t], vt[pj]
+            col_swap(pj, t)
+            col_ops += (pj, t, 0)
 
         while True:
             i = 0
             while i < rows:
                 if i != t and s[i][t]:
                     q = s[i][t] // s[t][t]
-                    row_sub(s, i, t, q)
-                    row_sub(u, i, t, q, modulus)
+                    row_sub(i, t, q)
+                    log_sub(row_ops, i, t, q)
                     if s[i][t]:
                         # remainder is smaller than the pivot: promote it
                         # and go on at row i, which now holds the old pivot
                         # row; the rows before it are already clear
                         s[i], s[t] = s[t], s[i]
-                        u[i], u[t] = u[t], u[i]
+                        row_ops += (i, t, 0)
                         continue
                 i += 1
             moved = False
             for j in range(cols):
                 if j != t and s[t][j]:
                     q = s[t][j] // s[t][t]
-                    col_sub(s, j, t, q)
-                    row_sub(vt, j, t, q, modulus)
+                    col_sub(j, t, q)
+                    log_sub(col_ops, j, t, q)
                     if s[t][j]:
-                        col_swap(s, j, t)
-                        vt[j], vt[t] = vt[t], vt[j]
+                        col_swap(j, t)
+                        col_ops += (j, t, 0)
                         moved = True
                         break
             if not moved:
@@ -366,8 +372,8 @@ def smith_normal_form(
                         if any(s[i][j] % p for j in range(t + 1, cols))),
                        None)
             if bad is not None:
-                row_sub(s, t, bad, -1)   # row_t += row_bad
-                row_sub(u, t, bad, -1, modulus)
+                row_sub(t, bad, -1)   # row_t += row_bad
+                log_sub(row_ops, t, bad, -1)
                 continue
         t += 1
 
@@ -375,9 +381,8 @@ def smith_normal_form(
         if s[i][i] < 0:
             for j in range(cols):
                 s[i][j] = -s[i][j]
-            row_sub(u, i, i, 2, modulus)   # row_i = -row_i
-    v = [list(col) for col in zip(*vt)]
-    return u, s, v
+            log_sub(row_ops, i, i, 2)   # row_i = -row_i
+    return s, row_ops, col_ops
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +410,15 @@ class LinearSolver:
     divides c_i and then has exactly gcd(s_i, m) solutions; rows past the
     diagonal need c_i = 0, and columns past it are free (factor m each).
 
-    Only U mod m, V mod m and the diagonal mod m are read, so the SNF runs
-    with its factors reduced mod m and every integer kept here lies in
-    [0, m).  S itself is factored exactly, which fixes the pivots and so
-    the witnesses and the samples drawn.  The pivot is always the first
+    U and V are never built: the elimination keeps its row and column
+    operations as two logs, with multipliers reduced mod m, and each query
+    replays them on its own vector (U b forward, V y in reverse), so every
+    integer kept here lies in [0, m).  kernel_count reads only the
+    diagonal.  S itself is eliminated exactly, which fixes the pivots and
+    so the witnesses and the samples drawn.  The pivot is always the first
     least-magnitude entry of the working block in row-major order; the
-    SNF's early exits at a unit pivot keep that rule, so they move no
-    witness and no sample.
+    early exits at a unit pivot keep that rule, so they move no witness and
+    no sample.
     """
 
     def __init__(self, mat: Matrix):
@@ -430,15 +437,7 @@ class LinearSolver:
                     + [[x.b for x in row] + row0
                        for row, row0 in zip(rows, lift)])
         self._n_eq, self._n_var = len(lift), (2 if eps else 1) * c
-        if self._n_eq:
-            u, s, v = smith_normal_form(lift, m)
-        else:
-            # no equations at all: every assignment works; U*A*V with an
-            # empty U/S and V the identity keeps the bookkeeping uniform
-            u, s = [], []
-            v = [[int(i == j) for j in range(self._n_var)]
-                 for i in range(self._n_var)]
-        self._u, self._v = u, v
+        s, self._row_ops, self._col_ops = _smith_log(lift, m)
         k = min(self._n_eq, self._n_var)
         # s_i mod m keeps gcd(s_i, m) and (s_i / g) mod (m / g) exact
         self._diag = [s[i][i] % m for i in range(k)]
@@ -465,9 +464,17 @@ class LinearSolver:
         return [x.a for x in b]
 
     def _transform(self, rhs: list[int]) -> list[int]:
+        """U b mod m, by replaying the row log on rhs in place."""
+        if not any(rhs):
+            return rhs
         m = self._m
-        return [sum(uij * bj for uij, bj in zip(urow, rhs)) % m
-                for urow in self._u]
+        ops = iter(self._row_ops)
+        for i, t, q in zip(ops, ops, ops):
+            if q:
+                rhs[i] = (rhs[i] - q * rhs[t]) % m
+            else:
+                rhs[i], rhs[t] = rhs[t], rhs[i]
+        return rhs
 
     def _particular_y(self, c: list[int]) -> Optional[list[int]]:
         m = self._m
@@ -484,13 +491,20 @@ class LinearSolver:
         return y
 
     def _y_to_elems(self, y: list[int]) -> tuple[RingElem, ...]:
+        """The elements of V y, by replaying the column log backwards on y
+        in place; y is reduced mod m."""
         m = self._m
-        x = [sum(vij * yj for vij, yj in zip(vrow, y)) % m for vrow in self._v]
+        ops = reversed(self._col_ops)
+        for q, t, i in zip(ops, ops, ops):
+            if q:
+                y[t] = (y[t] - q * y[i]) % m
+            else:
+                y[i], y[t] = y[t], y[i]
         cols = self.mat.cols
         if self._eps:
-            return tuple(RingElem(self.ring, x[j], x[cols + j])
+            return tuple(RingElem(self.ring, y[j], y[cols + j])
                          for j in range(cols))
-        return tuple(RingElem(self.ring, x[j]) for j in range(cols))
+        return tuple(RingElem(self.ring, y[j]) for j in range(cols))
 
     # -- queries -----------------------------------------------------------
 

@@ -1,16 +1,14 @@
 import itertools
 import random
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaintrace.linalg import (
-    LinearSolver,
-    Matrix,
-    ShapeError,
-    smith_normal_form,
-)
+from chaintrace.complexes import HomComplex
+from chaintrace.generate import random_complex
+from chaintrace.linalg import LinearSolver, Matrix, ShapeError, _smith_log
 from chaintrace.rings import RingMismatchError, RingSpec
 
 Z4 = RingSpec(4)
@@ -48,6 +46,28 @@ def det_int(a):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def smith_normal_form(a, modulus=None):
+    """(U, S, V) with U*a*V = S: the operation logs of the elimination
+    replayed onto identity matrices, reduced mod modulus when one is
+    given.  V is built transposed, so its column operations are row
+    operations."""
+    s, row_ops, col_ops = _smith_log(a, modulus)
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    for mat, ops in ((u, row_ops), (vt, col_ops)):
+        for k in range(0, len(ops), 3):
+            i, t, q = ops[k:k + 3]
+            if not q:
+                mat[i], mat[t] = mat[t], mat[i]
+                continue
+            mat[i] = [x - q * y for x, y in zip(mat[i], mat[t])]
+            if modulus is not None:
+                mat[i] = [x % modulus for x in mat[i]]
+    return u, s, [list(col) for col in zip(*vt)]
 
 
 def cofactor_det(mat):
@@ -453,12 +473,110 @@ def test_solver_keeps_entries_below_modulus():
     for a in cases:
         solver = LinearSolver(a)
         m = a.ring.modulus
-        kept = [x for row in solver._u + solver._v for x in row] + solver._diag
+        # the multipliers of both logs (a 0 marks a swap) and the diagonal
+        kept = solver._row_ops[2::3] + solver._col_ops[2::3] + solver._diag
         assert all(0 <= x < m for x in kept)
         x = [a.ring.from_index(rng.randrange(a.ring.cardinality))
              for _ in range(a.cols)]
         b = a.apply(x)
         assert a.apply(list(solver.solve(b).witness)) == b
+
+
+def _solver_lift(mat):
+    """The integer system LinearSolver factors: the matrix itself over
+    Z/m, the doubled [[A0, 0], [A1, A0]] over Z/m[e]."""
+    c = mat.cols
+    rows = [mat.entries[i * c:(i + 1) * c] for i in range(mat.rows)]
+    lift = [[x.a for x in row] for row in rows]
+    if mat.ring.has_epsilon:
+        lift = ([row + [0] * c for row in lift]
+                + [[x.b for x in row] + row0 for row, row0 in zip(rows, lift)])
+    return lift
+
+
+class _DenseSolver(LinearSolver):
+    """LinearSolver with U, S and V taken from _reference_snf and U and V
+    applied by matrix products: the slow oracle for the operation logs."""
+
+    def __init__(self, mat):
+        self.ring, self.mat = mat.ring, mat
+        m = self._m = mat.ring.modulus
+        self._eps = mat.ring.has_epsilon
+        lift = _solver_lift(mat)
+        n_eq = self._n_eq = len(lift)
+        n_var = self._n_var = (2 if self._eps else 1) * mat.cols
+        if lift:
+            self._u, s, self._v = _reference_snf(lift, m)
+        else:
+            self._u, s = [], []
+            self._v = [[int(i == j) for j in range(n_var)]
+                       for i in range(n_var)]
+        k = min(n_eq, n_var)
+        self._diag = [s[i][i] % m for i in range(k)]
+        self._gs = [gcd(d, m) for d in self._diag]
+        self._row_gs = self._gs + [m] * (n_eq - k)
+        self.kernel_count = prod(self._gs, start=1) * m ** (n_var - k)
+
+    def _transform(self, rhs):
+        return [sum(x * y for x, y in zip(row, rhs)) % self._m
+                for row in self._u]
+
+    def _y_to_elems(self, y):
+        x = [sum(a * b for a, b in zip(row, y)) % self._m for row in self._v]
+        cols = self.mat.cols
+        if self._eps:
+            return tuple(self.ring.element(x[j], x[cols + j])
+                         for j in range(cols))
+        return tuple(self.ring.element(x[j]) for j in range(cols))
+
+
+def _cross_check_systems(rng):
+    """Random matrices with their zero-row, zero-column and rank-deficient
+    variants, empty shapes, and the degree -1, 0 and 1 Hom-complex
+    matrices between random complexes."""
+    for ring in (Z4, Z6, Z9, Z2E, Z3E):
+        for _ in range(6):
+            a = random_matrix(rng, ring, rng.randrange(1, 6),
+                              rng.randrange(1, 6))
+            rows = [list(a.entries[i * a.cols:(i + 1) * a.cols])
+                    for i in range(a.rows)]
+            for b in _with_degenerate_variants(rows):
+                yield Matrix.from_rows(ring, b)
+        for r, c in ((0, 0), (0, 3), (3, 0)):
+            yield Matrix.zero(ring, r, c)
+        for _ in range(5):
+            source, target = (
+                random_complex(rng, ring, max_window=3, max_rank=3,
+                               lo=rng.randrange(2))
+                for _ in range(2))
+            for k in (-1, 0, 1):
+                yield HomComplex(source, target, k).solver.mat
+
+
+def test_solver_matches_the_dense_reference():
+    # the operation logs give the dense factors' counts, witnesses, coset
+    # keys, samples and solution order on every system and right-hand side
+    rng = random.Random(19)
+    for a in _cross_check_systems(rng):
+        fast, slow = LinearSolver(a), _DenseSolver(a)
+        assert fast.kernel_count == slow.kernel_count
+        assert fast.image_count == slow.image_count
+        ring = a.ring
+        x = [ring.from_index(rng.randrange(ring.cardinality))
+             for _ in range(a.cols)]
+        b_any = [ring.from_index(rng.randrange(ring.cardinality))
+                 for _ in range(a.rows)]
+        for b in ([ring.zero()] * a.rows, a.apply(x), b_any):
+            report = fast.solve(b)
+            assert report == slow.solve(b)
+            if report.solvable:
+                assert a.apply(list(report.witness)) == b
+            assert fast.coset_key(b) == slow.coset_key(b)
+            seed = rng.randrange(2 ** 32)
+            assert fast.sample_solution(b, random.Random(seed)) == \
+                slow.sample_solution(b, random.Random(seed))
+            assert list(itertools.islice(fast.iter_solutions(b), 20)) == \
+                list(itertools.islice(slow.iter_solutions(b), 20))
 
 
 def test_bareiss_det_known():
