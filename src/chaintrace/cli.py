@@ -38,6 +38,7 @@ from .ses import check_triple, connecting_square, validate_ses
 from .textio import (
     Document,
     ParseError,
+    _block_lines,
     format_matrix,
     parse_document,
     parse_matrix,
@@ -167,8 +168,7 @@ def _cmd_homotopy(args: argparse.Namespace) -> int:
     if h is None:
         print("none")
         return FAIL
-    lines = [f"h {n} {format_matrix(h.comp(n))}" for n in h.degrees()
-             if h.comp(n).rows * h.comp(n).cols and not h.comp(n).is_zero()]
+    lines = _block_lines("h", zip(h.degrees(), h.comps))
     print("homotopic: yes, via")
     for line in lines or ["h 0 []  # the zero homotopy: the endos are equal"]:
         print("  " + line)

@@ -196,18 +196,24 @@ class _HomMap:
     """A degree-k element of Hom(source, target): blocks
     f^n : source^n -> target^(n+k), with k the class constant `_k`.
 
-    Stored over the union window of the two complexes plus -k degrees at
-    the top, which holds every nonzero block for k = 0 and k = -1
-    (zero-shaped blocks included).
+    comps[i] is the block at degree source.lo + i: one block per degree
+    of the source, the degrees `_hom_slots` walks.  At any other degree
+    the block has no columns, and `comp` makes it.  Use `build`, which
+    fills in omitted zero blocks, unless deliberately constructing
+    something misshapen for `validate` to report on.
     """
 
     source: PerfectComplex
     target: PerfectComplex
-    lo: int
     comps: tuple[Matrix, ...]
 
     _k: ClassVar[int]
     _noun: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        if len(self.comps) != len(self.source.ranks):
+            raise ValueError(f"need exactly one {self._noun} block per "
+                             f"degree of the source")
 
     @classmethod
     def build(cls: type[_M], source: PerfectComplex, target: PerfectComplex,
@@ -215,18 +221,13 @@ class _HomMap:
         if source.ring != target.ring:
             raise ValueError(f"{cls._noun} needs a common ring")
         comps = dict(comps or {})
-        lo = min(source.lo, target.lo)
-        hi = max(source.hi, target.hi) - cls._k
-        seq = []
-        for n in range(lo, hi + 1):
-            f = comps.pop(n, None)
-            if f is None:
-                f = cls._zero_block(source, target, n)
-            seq.append(f)
-        if comps:  # what is left lies outside the window
+        seq = tuple(comps.pop(n) if n in comps
+                    else cls._zero_block(source, target, n)
+                    for n in source.degrees())
+        if comps:  # what is left lies outside the source's degrees
             _refuse_outside(f"{cls._noun} block", comps,
                             lambda n: cls._zero_block(source, target, n))
-        return cls(source, target, lo, tuple(seq))
+        return cls(source, target, seq)
 
     @classmethod
     def zero(cls: type[_M], source: PerfectComplex,
@@ -244,13 +245,13 @@ class _HomMap:
         return self.source.ring
 
     def comp(self, n: int) -> Matrix:
-        i = n - self.lo
+        i = n - self.source.lo
         if 0 <= i < len(self.comps):
             return self.comps[i]
         return self._zero_block(self.source, self.target, n)
 
     def degrees(self) -> range:
-        return range(self.lo, self.lo + len(self.comps))
+        return self.source.degrees()
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
@@ -279,17 +280,15 @@ class ChainMap(_HomMap):
 
     @classmethod
     def identity(cls, k: PerfectComplex) -> "ChainMap":
-        return cls.build(k, k, {n: Matrix.identity(k.ring, k.rank(n))
-                                for n in k.degrees()})
+        return cls(k, k, tuple(Matrix.identity(k.ring, r) for r in k.ranks))
 
     def _degreewise(self, other: "ChainMap",
                     op: Callable[[Matrix, Matrix], Matrix]) -> "ChainMap":
         """op(self^n, other^n) at every degree, for two parallel maps."""
         if self.source != other.source or self.target != other.target:
             raise ValueError("chain maps have different source or target")
-        return ChainMap.build(self.source, self.target,
-                              {n: op(self.comp(n), other.comp(n))
-                               for n in self.degrees()})
+        return ChainMap(self.source, self.target,
+                        tuple(map(op, self.comps, other.comps)))
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
         return self._degreewise(other, Matrix.__add__)
@@ -302,20 +301,20 @@ class ChainMap(_HomMap):
         if other.target != self.source:
             raise ValueError("composition mismatch: inner target is not "
                              "outer source")
-        lo = min(self.lo, other.lo)
-        hi = max(self.lo + len(self.comps), other.lo + len(other.comps)) - 1
-        return ChainMap.build(other.source, self.target,
-                              {n: self.comp(n) @ other.comp(n)
-                               for n in range(lo, hi + 1)})
+        return ChainMap(other.source, self.target,
+                        tuple(self.comp(n) @ f
+                              for n, f in zip(other.degrees(), other.comps)))
 
     def shift(self, k: int) -> "ChainMap":
         """The same components read between the k-shifted complexes.
 
         Both differentials pick up the same (-1)^k, so this is again a
-        chain map; the component at degree n becomes the old one at n+k.
+        chain map; the component at degree n becomes the old one at n+k,
+        read through `comp`, as the shifted zero complex stays at degree 0.
         """
-        return ChainMap.build(self.source.shift(k), self.target.shift(k),
-                              {n - k: self.comp(n) for n in self.degrees()})
+        source = self.source.shift(k)
+        return ChainMap(source, self.target.shift(k),
+                        tuple(self.comp(n + k) for n in source.degrees()))
 
     def validate(self) -> Validation:
         """Ring and shape of each component, then D(f) = 0: d f = f d."""

@@ -129,17 +129,16 @@ def det_trace_bridge(u: ChainMap) -> BridgeReport:
                          "use a plain Z/m endomorphism")
     lifted = RingSpec(ring.modulus, True)
     k = _lift_complex(u.source, lifted)
-    blown_up = ChainMap.build(k, k, {
-        n: _one_plus_epsilon_times(u.comp(n), lifted)
-        for n in u.source.degrees()})
+    blown_up = ChainMap(k, k, tuple(_one_plus_epsilon_times(f, lifted)
+                                    for f in u.comps))
     det_side = det_of_automorphism(blown_up)
     tr = graded_trace(u)
     return BridgeReport(det_side, lifted.element(1, tr.a))
 
 
 def _lift_complex(k: PerfectComplex, lifted: RingSpec) -> PerfectComplex:
-    return PerfectComplex.build(
-        lifted, k.lo, k.ranks,
-        {k.lo + i: Matrix(lifted, d.rows, d.cols,
-                          tuple(lifted.element(x.a) for x in d.entries))
-         for i, d in enumerate(k.diffs)})
+    """k over `lifted`, degree for degree, so that a map's blocks fit."""
+    return PerfectComplex(lifted, k.lo, k.ranks, tuple(
+        Matrix(lifted, d.rows, d.cols,
+               tuple(lifted.element(x.a) for x in d.entries))
+        for d in k.diffs))

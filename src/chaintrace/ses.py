@@ -351,9 +351,9 @@ class _SesSystem:
         """u[1] delta - delta w, degree by degree: the shifted sub endo is
         u^(n+1) at degree n, so it is read off u without building u[1]."""
         delta = self.delta
-        return ChainMap.build(delta.source, delta.target, {
-            n: u.comp(n + 1) @ delta.comp(n) - delta.comp(n) @ w.comp(n)
-            for n in delta.degrees()})
+        return ChainMap(delta.source, delta.target, tuple(
+            u.comp(n + 1) @ f - f @ w.comp(n)
+            for n, f in zip(delta.degrees(), delta.comps)))
 
     def connecting(self, u: ChainMap, w: ChainMap) -> SquareStatus:
         return self._square(self.connecting_diff(u, w), "conn_prob")

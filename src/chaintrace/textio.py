@@ -432,8 +432,7 @@ def _required_lines(head: str, f: ChainMap) -> list[str]:
     u, v, w): one explicit line even when it is zero everywhere."""
     lines = _block_lines(head, zip(f.degrees(), f.comps))
     if not lines:
-        lo = f.source.lo
-        lines = [f"{head} {lo} {format_matrix(f.comp(lo))}"]
+        lines = [f"{head} {f.source.lo} {format_matrix(f.comps[0])}"]
     return lines
 
 

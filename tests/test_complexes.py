@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -374,7 +375,7 @@ def test_homotopy_shapes():
     assert (h.comp(1).rows, h.comp(1).cols) == (1, 1)
     assert (h.comp(0).rows, h.comp(0).cols) == (0, 0)
     assert (h.comp(2).rows, h.comp(2).cols) == (1, 0)
-    bad = Homotopy(k, l, 0, (Matrix.zero(Z3E, 3, 3),))
+    bad = Homotopy(k, l, (Matrix.zero(Z3E, 3, 3),))
     assert not bad.validate()
 
 
@@ -395,3 +396,29 @@ def test_builders_refuse_misshapen_blocks_outside_the_window():
     assert trimmed == PerfectComplex.single(Z4, 1, 1)
     with pytest.raises(ValueError, match="degree 0"):
         PerfectComplex.build(Z4, 0, [0, 1], {0: Matrix.zero(Z4, 2, 0)})
+
+
+def test_builders_refuse_a_misshapen_block_where_only_the_target_has_rank():
+    # blocks are stored per degree of the source; at a degree where only
+    # the target has rank, the one block that fits has no columns
+    src = PerfectComplex.single(Z4, 0, 1)
+    tgt = PerfectComplex.build(Z4, 0, [1, 2])
+    for build, noun, n in ((ChainMap.build, "chain map", 1),
+                           (Homotopy.build, "homotopy", 2)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{noun} block at degree {n}, outside the window, is 2x1 "
+                f"over Z/4, expected 2x0 over Z/4")):
+            build(src, tgt, {n: Matrix.zero(Z4, 2, 1)})
+        assert build(src, tgt, {n: Matrix.zero(Z4, 2, 0)}) == \
+            build(src, tgt)
+
+
+def test_direct_construction_needs_one_block_per_source_degree():
+    src = PerfectComplex.build(Z4, 0, [1, 1])
+    tgt = PerfectComplex.single(Z4, 0, 1)
+    for comps in ((), (M(Z4, [[1]]),) * 3):
+        with pytest.raises(ValueError, match="^need exactly one chain map "
+                           "block per degree of the source$"):
+            ChainMap(src, tgt, comps)
+    assert ChainMap(src, tgt, (M(Z4, [[1]]), Matrix.zero(Z4, 0, 1))) == \
+        ChainMap.build(src, tgt, {0: M(Z4, [[1]])})

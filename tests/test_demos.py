@@ -1,9 +1,11 @@
 """Each script in demos/ runs to completion against the package in src/
 and prints its headline result, the README's example session runs as
-written, and its command table lists the command line's subcommands."""
+written, its command table lists the command line's subcommands, and its
+library table lists the package's modules."""
 
 import argparse
 import doctest
+import importlib
 import os
 import re
 import subprocess
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import chaintrace
 from chaintrace import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,3 +51,22 @@ def test_readme_command_table_lists_every_subcommand():
     subparsers = next(a for a in cli._build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     assert listed == list(subparsers.choices)
+
+
+def test_readme_library_table_lists_every_module():
+    # one row per module, and every backticked name in a row that its
+    # module defines is exported at the package top level
+    text = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| `chaintrace\.(\w+)` \| (.*) \|$", text, re.M)
+    modules = [p.stem for p in (ROOT / "src" / "chaintrace").glob("*.py")
+               if p.stem not in ("__init__", "__main__")]
+    assert sorted(name for name, _ in rows) == sorted(modules)
+    checked = set()
+    for name, contents in rows:
+        module = importlib.import_module(f"chaintrace.{name}")
+        for ident in re.findall(r"`(\w+)`", contents):
+            obj = getattr(module, ident, None)
+            if getattr(obj, "__module__", None) == module.__name__:
+                assert ident in chaintrace.__all__, (name, ident)
+                checked.add(ident)
+    assert len(checked) >= len(rows), checked

@@ -127,11 +127,14 @@ def test_bridge_exhaustive_one_by_one():
 def test_bridge_across_degrees_and_signs():
     # one rank in degree 0 and one in degree 1: the degree-1 factor
     # enters inverted, which over the square-zero extension means the
-    # trace flips sign — agreement still has to hold
+    # trace flips sign — agreement still has to hold; also behind a
+    # zero-rank degree that only direct construction keeps
     rng = random.Random(2)
     k = PerfectComplex.build(Z5, 0, [1, 1])
-    for _ in range(20):
-        u = ChainMap.build(k, k, {
+    padded = PerfectComplex(Z5, -1, (0, 1, 1),
+                            (Matrix.zero(Z5, 1, 0), k.diff(0)))
+    for src, _ in itertools.product((k, padded), range(20)):
+        u = ChainMap.build(src, src, {
             0: M(Z5, [[rng.randrange(5)]]),
             1: M(Z5, [[rng.randrange(5)]])})
         rep = det_trace_bridge(u)

@@ -1,7 +1,7 @@
-"""Properties of twists, boundary maps, Hom counts and the text format
-over random small complexes, of the exhaustive search's admission check,
-and of the command line on mutated input files, checked with hypothesis
-(deterministic settings from conftest.py).
+"""Properties of twists, boundary maps, Hom counts, chain-map arithmetic
+and the text format over random small complexes, of the exhaustive
+search's admission check, and of the command line on mutated input
+files, checked with hypothesis (deterministic settings from conftest.py).
 """
 
 import contextlib
@@ -16,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaintrace import cli
-from chaintrace.complexes import ChainMap, ChainMapSpace, HomComplex, _hom_d
+from chaintrace.complexes import (
+    ChainMap,
+    ChainMapSpace,
+    HomComplex,
+    PerfectComplex,
+    _hom_d,
+)
 from chaintrace.generate import (
     random_complex,
     random_homotopy,
@@ -194,6 +200,55 @@ def test_coset_keys_agree_exactly_on_homotopic_maps(ring, seed):
     for g in (moved, space.sample(rng)):
         same = problem.coset_key(f) == problem.coset_key(g)
         assert same == (problem.solve_for(f - g) is not None)
+
+
+# -- chain-map arithmetic against its blocks ---------------------------------
+
+# every window below, shifted or not, lies well inside this range
+WIDE = range(-6, 9)
+
+
+@st.composite
+def windows(draw, ring):
+    """A complex over `ring` starting at -1..1 with up to four ranks from
+    0..2: interior zero ranks and the zero complex included.  The
+    arithmetic reads only ranks, so the differentials are zero."""
+    lo = draw(st.integers(-1, 1))
+    ranks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
+    return PerfectComplex.build(ring, lo, ranks)
+
+
+def _random_map(rng, source, target):
+    return ChainMap.build(source, target, {
+        n: random_matrix(rng, source.ring, target.rank(n), source.rank(n))
+        for n in source.degrees()})
+
+
+def _assert_blocks(f, block):
+    """f has block(n) at every degree of WIDE and is what `build` makes
+    of those blocks."""
+    for n in WIDE:
+        assert f.comp(n) == block(n), n
+    assert ChainMap.build(f.source, f.target,
+                          {n: f.comp(n) for n in WIDE}) == f
+
+
+@deterministic
+@given(st.sampled_from(RINGS), st.data())
+def test_chain_map_arithmetic_matches_its_blocks(ring, data):
+    a, b, c = (data.draw(windows(ring)) for _ in range(3))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    f, f2, g = _random_map(rng, b, c), _random_map(rng, b, c), \
+        _random_map(rng, a, b)
+    _assert_blocks(f @ g, lambda n: f.comp(n) @ g.comp(n))
+    _assert_blocks(f + f2, lambda n: f.comp(n) + f2.comp(n))
+    _assert_blocks(f - f2, lambda n: f.comp(n) - f2.comp(n))
+    for k in (-1, 1, 2):
+        shifted = f.shift(k)
+        assert (shifted.source, shifted.target) == (b.shift(k), c.shift(k))
+        _assert_blocks(shifted, lambda n: f.comp(n + k))
+    _assert_blocks(ChainMap.identity(b),
+                   lambda n: Matrix.identity(ring, b.rank(n)))
 
 
 # -- the exhaustive search's admission check ----------------------------------

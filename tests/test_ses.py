@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
@@ -159,6 +160,15 @@ def test_make_extension_refuses_twist_blocks_outside_the_window():
         make_extension(k, k, {7: M(Z4, [[1]])})
     assert make_extension(k, k, {7: Matrix.zero(Z4, 0, 0)}) == \
         make_extension(k, k)
+
+
+def test_make_extension_refuses_a_twist_block_where_only_the_sub_has_rank():
+    # the boundary M -> K[1] has K[1] in degree 0 and M in degree 1 only
+    k = PerfectComplex.single(Z4, 1, 1)
+    with pytest.raises(ValueError, match=re.escape(
+            "twist is not a boundary map: chain map block at degree 0, "
+            "outside the window, is 1x1 over Z/4, expected 1x0 over Z/4")):
+        make_extension(k, k, {0: M(Z4, [[1]])})
 
 
 def test_make_extension_zero_twist_is_direct_sum():
@@ -594,11 +604,21 @@ def test_solve_columns_refuses_a_wrong_solver_answer(monkeypatch):
         ses_module._solve_columns(mat, mat, "unused")
 
 
+def nilpotent(x):
+    """x^(2^t) = 0 for t one past the bit length of the modulus: no
+    nilpotent of Z/m[e] needs an exponent above log2(m) + 1."""
+    for _ in range(x.ring.modulus.bit_length() + 1):
+        x = x * x
+    return not x
+
+
 def test_defect_is_the_trace_pairing_on_the_counterexamples():
     # the minimal violation over each ring with a square-zero element, and
     # every examined triple of its sequence: the defect is the pairing of
-    # the boundary with the visible squares' witnesses, nonzero included
-    for ring in (Z4, Z2E, Z3E, RingSpec(9)):
+    # the boundary with the visible squares' witnesses, nonzero included,
+    # and it lies in the nilradical (over Z/12: 0 or 6, not 2, 3, 4, ...)
+    z12 = RingSpec(12)
+    for ring in (Z4, RingSpec(8), RingSpec(9), z12, Z2E, Z3E):
         ses, triple, _ = build_counterexample(ring)
         report = check_triple(ses, triple)
         assert report.defect and trace_pairing(ses, report) == report.defect
@@ -608,6 +628,28 @@ def test_defect_is_the_trace_pairing_on_the_counterexamples():
                 assert trace_pairing(ses, report) == report.defect, ring
                 defects.add(report.defect)
         assert len(defects) > 1, ring
+        assert all(nilpotent(x) for x in defects), (ring, defects)
+        if ring == z12:
+            assert defects <= {z12.zero(), z12.element(6)}, defects
+
+
+def test_a_split_sequence_has_no_violation():
+    # a sequence whose boundary is null-homotopic splits up to homotopy,
+    # and then the trace is additive on every examined triple; some
+    # non-split sequence does violate, so the check can fail
+    rng = random.Random(7)
+    split = violating = 0
+    for ring in (Z4, RingSpec(6), RingSpec(9), Z2E, Z3E):
+        for _ in range(60):
+            system = _SesSystem(random_extension(rng, ring, max_window=3,
+                                                 max_rank=1))
+            violations = system.counts()[1]
+            if not any(system.conn_prob.coset_key(system.delta)):
+                split += 1
+                assert violations == 0, system.ses
+            else:
+                violating += violations > 0
+    assert split and violating, (split, violating)
 
 
 def test_connecting_square_strict_when_both_outer_endos_vanish():
