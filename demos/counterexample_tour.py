@@ -1,8 +1,9 @@
 """Tour of the smallest trace-additivity violation.
 
 Builds, over Z/3[e], a short exact sequence of two-term complexes and an
-endomorphism triple (u, v, w) whose compatibility squares all hold — the
-right one strictly, the left one up to an explicit chain homotopy — and
+endomorphism triple (u, v, w) whose three compatibility squares all hold
+— the right and connecting ones strictly, the left one up to an explicit
+chain homotopy — and
 whose graded traces nevertheless refuse to add up:
 
     Tr(v) - Tr(u) - Tr(w) = -e  !=  0.
@@ -37,6 +38,7 @@ def main() -> None:
     report = check_triple(ses, triple)
     print("left  square:", report.left.describe())
     print("right square:", report.right.describe())
+    print("connecting square:", report.connecting.describe())
     print()
 
     # The left square's witness is a genuine chain homotopy: perturbing the

@@ -34,7 +34,7 @@ from .search import (
     search_violation,
     wrap_instance,
 )
-from .ses import check_triple, connecting_square, validate_ses
+from .ses import check_triple, validate_ses
 from .textio import (
     Document,
     ParseError,
@@ -175,10 +175,10 @@ def _cmd_homotopy(args: argparse.Namespace) -> int:
     return OK
 
 
-def _squares_block(report, conn) -> list[str]:
+def _squares_block(report) -> list[str]:
     return [f"left square: {report.left.describe()}",
             f"right square: {report.right.describe()}",
-            f"connecting square: {conn.describe()}",
+            f"connecting square: {report.connecting.describe()}",
             f"Tr(u) = {report.sub_trace}",
             f"Tr(v) = {report.middle_trace}",
             f"Tr(w) = {report.quotient_trace}",
@@ -200,11 +200,10 @@ def _cmd_additivity(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid endomorphism triple: {exc}")
         return FAIL
-    conn = connecting_square(ses, triple.on_sub, triple.on_quotient)
     print(f"ring {doc.ring}")
-    for line in _squares_block(report, conn):
+    for line in _squares_block(report):
         print(line)
-    if report.squares_hold and conn.holds:
+    if report.squares_hold:
         if report.defect:
             print("violation: yes (every square commutes up to homotopy, "
                   "defect nonzero)")
@@ -224,7 +223,6 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         print(exc)
         return FAIL
     report = check_triple(ses, triple)
-    conn = connecting_square(ses, triple.on_sub, triple.on_quotient)
     cert = certify(wrap_instance(ses, triple))
     print(f"ring {ring}")
     print("the minimal violating instance:")
@@ -232,7 +230,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     for line in ses_file(ses, triple=triple).rstrip().splitlines():
         print("  " + line if line else "")
     print()
-    for line in _squares_block(report, conn):
+    for line in _squares_block(report):
         print(line)
     print(f"left-square witness: h 1 {format_matrix(witness.comp(1))}")
     print("independently certified: " + ("yes" if cert else

@@ -161,10 +161,6 @@ class PerfectComplex:
             self.ring, new_lo, self.ranks,
             {new_lo + i: d for i, d in enumerate(diffs)})
 
-    def __str__(self) -> str:
-        return (f"complex over {self.ring}, degrees {self.lo}..{self.hi}, "
-                f"ranks {list(self.ranks)}")
-
 
 def _upper_block(a: Matrix, t: Matrix, b: Matrix) -> Matrix:
     """The block upper-triangular matrix [[a, t], [0, b]]."""

@@ -41,9 +41,6 @@ class GradedLine:
     def inverse(self) -> "GradedLine":
         return GradedLine(-self.degree, self.scalar.inverse())
 
-    def __str__(self) -> str:
-        return f"line(degree={self.degree}, scalar={self.scalar})"
-
 
 def unit_line(ring: RingSpec) -> GradedLine:
     return GradedLine(0, ring.one())

@@ -27,6 +27,9 @@ block-triangular middle endo, and the leftover middle discrepancy is
 square-zero on cohomology, hence traceless over a field) — while the
 classic square-zero-twist instance still sails through all three
 squares with a nonzero defect.  That asymmetry is the whole point.
+Every mode reads the verdict off one `AdditivityReport` per triple
+(ses.check_triple): examined is its `squares_hold`, a violation its
+`is_violation`.
 
 Exhaustive mode enumerates complexes (windows anchored at degree 0 —
 traces are blind to shifts) and twists, then counts each sequence's
@@ -54,13 +57,11 @@ from .generate import random_extension
 from .linalg import LinearSolver, Matrix
 from .rings import RingSpec
 from .ses import (
-    Classified,
     CocycleSpace,
     EndoTriple,
     ShortExactSequence,
     Violation,
     check_triple,
-    connecting_square,
     make_extension,
     validate_ses,
     _Pair,
@@ -154,16 +155,12 @@ def build_counterexample(
 
 
 def wrap_instance(ses: ShortExactSequence, triple: EndoTriple) -> SearchOutcome:
-    """Classify one concrete instance exactly as the searches would.
-
-    Examined when the two visible squares and the connecting square all
-    commute at least up to homotopy; a violation when examined with
-    nonzero defect.  Only an actual violation is stored, so the result
-    feeds straight into certify.
+    """Classify one concrete instance exactly as the searches would: by
+    its check_triple report, examined when its three squares hold and a
+    violation when it is one.  Only an actual violation is stored, so the
+    result feeds straight into certify.
     """
-    report = check_triple(ses, triple)
-    conn = connecting_square(ses, triple.on_sub, triple.on_quotient)
-    return _tally([(ses, triple, report, conn)], None)
+    return _tally([(ses, triple, check_triple(ses, triple))], None)
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +219,16 @@ def _complexes_with_ranks(ring: RingSpec, ranks: tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-def _tally(classified: Iterable[Classified],
+def _tally(classified: Iterable[Violation],
            log: Optional[LogLine]) -> SearchOutcome:
     """Count a stream of classified triples, logging one line each."""
     examined = violations = 0
     first: Optional[Violation] = None
-    for index, (ses, triple, report, conn) in enumerate(classified):
+    for index, (ses, triple, report) in enumerate(classified):
         if log is not None:
             log(f"{index}\t{report.left.describe()}+{report.right.describe()}"
-                f"+{conn.describe()}\t{report.defect}")
-        if not (report.squares_hold and conn.holds):
+                f"+{report.connecting.describe()}\t{report.defect}")
+        if not report.squares_hold:
             continue             # a failing square: discarded, not examined
         examined += 1
         if report.defect:
@@ -356,7 +353,7 @@ def _search_exhaustive(cfg: SearchConfig,
     return SearchOutcome(violations, first, examined)
 
 
-def _random_triples(cfg: SearchConfig) -> Iterator[Classified]:
+def _random_triples(cfg: SearchConfig) -> Iterator[Violation]:
     for trial in range(cfg.trials):
         rng = Random(f"{cfg.seed}:{trial}")
         system = _SesSystem(random_extension(
@@ -394,12 +391,13 @@ def search_violation(cfg: SearchConfig,
 def certify(outcome: SearchOutcome) -> Validation:
     """Re-derive everything a stored violation claims, from scratch.
 
-    Runs validate_ses, re-validates the endos and both visible squares
-    via a fresh check_triple (whose homotopy witnesses are re-evaluated
-    against their defining equation), re-decides the connecting square
-    from a boundary derived anew on a copy of the sequence, and confirms
-    the defect is nonzero and matches the stored report.  ValueError
-    when the outcome carries no violation to certify.
+    Runs validate_ses on a copy of the sequence, so that its boundary is
+    derived anew, and re-decides the endos and all three squares via a
+    fresh check_triple (whose homotopy witnesses are re-evaluated against
+    their defining equation).  Then confirms the defect is nonzero and
+    that the defect and each square's strictness match the stored
+    report.  ValueError when the outcome carries no violation to
+    certify.
     """
     if outcome.first_violation is None:
         raise ValueError("outcome holds no violation to certify")
@@ -413,10 +411,10 @@ def certify(outcome: SearchOutcome) -> Validation:
         fresh = check_triple(ses, triple)
     except ValueError as exc:
         return Validation(False, "endo", None, str(exc))
-    if not fresh.squares_hold:
+    if not (fresh.left.holds and fresh.right.holds):
         return Validation(False, "square", None,
                           "a visible square does not commute up to homotopy")
-    if not connecting_square(ses, triple.on_sub, triple.on_quotient).holds:
+    if not fresh.connecting.holds:
         return Validation(False, "square", None,
                           "the connecting square does not commute up to "
                           "homotopy")
@@ -425,7 +423,8 @@ def certify(outcome: SearchOutcome) -> Validation:
                           "defect is zero: not a violation")
     if (fresh.defect != stored.defect
             or fresh.left.strict != stored.left.strict
-            or fresh.right.strict != stored.right.strict):
+            or fresh.right.strict != stored.right.strict
+            or fresh.connecting.strict != stored.connecting.strict):
         return Validation(False, "mismatch", None,
                           "stored report disagrees with recomputation")
     return _VALID

@@ -8,21 +8,17 @@ add up and a zero composite makes the middle exact.  The counts come from
 the shared SNF solver, so the verdicts are exact.
 
 The other half of the module measures endomorphism triples (one endo per
-complex) against such a sequence: do the two squares commute, strictly or
-up to chain homotopy, and do the graded traces add up?  The failure of
-the latter when the ring has nilpotents is the phenomenon the search
-module hunts for; here the triples of one sequence are measured, one by
-one or all at once.
-
-Besides the two visible squares there is a third, hidden one: the
-sequence carries a boundary map from the quotient into the shifted sub
-complex (for an extension in block form it is just the glueing twist),
-and a triple can also be asked to commute with it up to homotopy.  That
-extra square is exactly what separates genuine additivity failures from
-bookkeeping artifacts — see `connecting_map` and `connecting_square`.
+complex) against such a sequence: do its three squares commute, strictly
+or up to chain homotopy, and do the graded traces add up?  Two squares
+are visible, through the inclusion and the projection; the third pits
+the sub endo against the quotient endo across the boundary map from the
+quotient into the shifted sub complex (for an extension in block form,
+the glueing twist), and it is what separates genuine additivity failures
+from bookkeeping artifacts.  An `AdditivityReport` holds all three with
+their witnesses; its `is_violation` is the search module's verdict.
 
 One private system per sequence, `_SesSystem`, holds its boundary,
-square problems and endo spaces; it classifies triples for every search
+square problems and endo spaces; it reports on triples for every search
 mode, draws the fillers of strict triples, and counts triples without
 visiting them: with one homotopy per square as an unknown, every
 condition on (u, v, w) is linear, so examined and additive triples are
@@ -215,7 +211,7 @@ class EndoTriple:
 
 @dataclass(frozen=True)
 class SquareStatus:
-    """How one of the two compatibility squares commutes.
+    """How one of the three compatibility squares commutes.
 
     `strict` means the two composites around the square agree on the
     nose; `witness` is a null-homotopy of their difference if one exists
@@ -242,10 +238,12 @@ class SquareStatus:
 
 @dataclass(frozen=True)
 class AdditivityReport:
-    """Everything check_triple measured about one endomorphism triple."""
+    """Everything check_triple measured about one endomorphism triple: its
+    left, right and connecting squares and its graded traces."""
 
     left: SquareStatus
     right: SquareStatus
+    connecting: SquareStatus
     sub_trace: RingElem
     middle_trace: RingElem
     quotient_trace: RingElem
@@ -253,10 +251,9 @@ class AdditivityReport:
 
     @property
     def squares_hold(self) -> bool:
-        """Both visible squares, left and right, commute at least up to
-        homotopy.  The connecting square is not part of the report; a
-        search counts a triple only when it holds too."""
-        return self.left.holds and self.right.holds
+        """All three squares, left, right and connecting, commute at least
+        up to homotopy: the triple is examined."""
+        return self.left.holds and self.right.holds and self.connecting.holds
 
     @property
     def additive(self) -> bool:
@@ -264,10 +261,9 @@ class AdditivityReport:
 
     @property
     def is_violation(self) -> bool:
-        """Both visible squares commute at least up to homotopy, yet the
-        graded traces fail to add up.  A search violation also needs the
-        connecting square (see connecting_square): without it, triples
-        over a field can pass this test."""
+        """All three squares commute at least up to homotopy, yet the
+        graded traces fail to add up: an examined triple with nonzero
+        defect, which a reduced ring never has."""
         return self.squares_hold and not self.additive
 
 
@@ -284,8 +280,6 @@ class _Pair:
 
 
 Violation = tuple[ShortExactSequence, EndoTriple, AdditivityReport]
-Classified = tuple[ShortExactSequence, EndoTriple, AdditivityReport,
-                   SquareStatus]
 
 
 class _SesSystem:
@@ -335,17 +329,20 @@ class _SesSystem:
             return SquareStatus(True, Homotopy.zero(diff.source, diff.target))
         return SquareStatus(False, getattr(self, problem).solve_for(diff))
 
-    def visible(self, triple: EndoTriple) -> AdditivityReport:
-        """The two visible squares and the traces of a triple."""
+    def report(self, triple: EndoTriple) -> AdditivityReport:
+        """The three squares, each with a witness, and the traces of one
+        triple: the one per-triple check of every mode, as check_triple
+        but without endo validation."""
         u, v, w = triple.on_sub, triple.on_middle, triple.on_quotient
         j, q = self.ses.inclusion, self.ses.projection
-        # both differences read "the composite through the middle endo,
-        # minus the other way around", so a witness h satisfies
-        # d h + h d = difference
+        # each difference reads "the composite through the middle endo (or
+        # the shifted sub endo), minus the other way around", so a witness
+        # h satisfies d h + h d = difference
         left = self._square(v @ j - j @ u, "left_prob")
         right = self._square(q @ v - w @ q, "right_prob")
         tu, tv, tw = graded_trace(u), graded_trace(v), graded_trace(w)
-        return AdditivityReport(left, right, tu, tv, tw, tv - tu - tw)
+        return AdditivityReport(left, right, self.connecting(u, w),
+                                tu, tv, tw, tv - tu - tw)
 
     def connecting_diff(self, u: ChainMap, w: ChainMap) -> ChainMap:
         """u[1] delta - delta w, degree by degree: the shifted sub endo is
@@ -369,14 +366,12 @@ class _SesSystem:
             problem.flatten(lambda n: -diff.comp(n)), rng)
         return None if filler is None else problem.to_blocks(filler)
 
-    def classify(self, triple: EndoTriple) -> Classified:
-        """Decide the three squares of one triple, each with a witness,
-        and its trace defect: the one per-triple check of every mode, as
-        check_triple and connecting_square but without endo validation."""
-        return (self.ses, triple, self.visible(triple),
-                self.connecting(triple.on_sub, triple.on_quotient))
+    def classify(self, triple: EndoTriple) -> Violation:
+        """The triple with its sequence and report: the shape in which the
+        search streams triples and stores its first violation."""
+        return self.ses, triple, self.report(triple)
 
-    def triples(self) -> Iterator[Classified]:
+    def triples(self) -> Iterator[Violation]:
         """Every triple, classified, in enumeration order: middle endo,
         then sub endo, then quotient endo.  The slow oracle of counts."""
         for v in self.v_space.iter_all():
@@ -386,8 +381,8 @@ class _SesSystem:
 
     def first_violation(self) -> Optional[Violation]:
         """The first examined triple with nonzero defect, or None."""
-        for ses, triple, report, conn in self.triples():
-            if report.squares_hold and conn.holds and report.defect:
+        for ses, triple, report in self.triples():
+            if report.is_violation:
                 return ses, triple, report
         return None
 
@@ -455,15 +450,17 @@ class _SesSystem:
 
 def check_triple(ses: ShortExactSequence,
                  triple: EndoTriple) -> AdditivityReport:
-    """Measure one endomorphism triple against the two visible squares.
+    """Measure one endomorphism triple against the sequence's three squares.
 
     Checks that each endo really is a chain endomorphism of its complex
-    (ValueError otherwise), then decides each square: strict when the
-    two composites agree, otherwise commuting up to homotopy when the
-    difference is null-homotopic, with the homotopy kept as a witness.
-    Trace arithmetic is reported regardless of the square verdicts.  The
-    third square is connecting_square's.  The sequence itself is not
-    re-validated here.
+    (ValueError otherwise), then decides the left, right and connecting
+    squares: strict when the two composites agree, otherwise commuting
+    up to homotopy when the difference is null-homotopic, with the
+    homotopy kept as a witness.  The connecting square needs the boundary
+    (see connecting_map) and, unless it is strict, the problem
+    Hom(M, K[1]) in degree -1.  Trace arithmetic is reported regardless
+    of the square verdicts.  The sequence itself is not re-validated
+    here.
     """
     pairs = ((triple.on_sub, ses.sub, "sub"),
              (triple.on_middle, ses.middle, "middle"),
@@ -476,7 +473,7 @@ def check_triple(ses: ShortExactSequence,
         if not v:
             raise ValueError(f"endo on {name} is not a chain map: "
                              f"{v.message}")
-    return _SesSystem(ses).visible(triple)
+    return _SesSystem(ses).report(triple)
 
 
 def connecting_square(ses: ShortExactSequence, on_sub: ChainMap,
@@ -493,9 +490,10 @@ def connecting_square(ses: ShortExactSequence, on_sub: ChainMap,
     every reduced ring; a square-zero element in the ring is what lets
     all three hold with a nonzero defect.
 
-    Only the outer endos enter; the middle one is irrelevant here.  Endos
-    are assumed to be valid chain endomorphisms (check_triple enforces
-    that).
+    check_triple decides this square as part of its report; this is the
+    square alone.  Only the outer endos enter; the middle one is
+    irrelevant here.  Endos are assumed to be valid chain endomorphisms
+    (check_triple enforces that).
     """
     return _SesSystem(ses).connecting(on_sub, on_quotient)
 

@@ -79,6 +79,12 @@ def test_validate_shape_reported_distinctly():
     k = PerfectComplex(Z4, 0, (1, 1), (Matrix.zero(Z4, 2, 1),))
     v = k.validate()
     assert not v and v.kind == "shape" and v.degree == 0
+    # a differential over another ring is its own kind, checked first
+    k = PerfectComplex(Z4, 0, (1, 1), (M(RingSpec(5), [[1]]),))
+    v = k.validate()
+    assert (v.ok, v.kind, v.degree, v.message) == (
+        False, "ring", 0,
+        "differential at degree 0 lives over Z/5, complex over Z/4")
 
 
 def test_valid_three_term():
@@ -422,3 +428,27 @@ def test_direct_construction_needs_one_block_per_source_degree():
             ChainMap(src, tgt, comps)
     assert ChainMap(src, tgt, (M(Z4, [[1]]), Matrix.zero(Z4, 0, 1))) == \
         ChainMap.build(src, tgt, {0: M(Z4, [[1]])})
+
+
+def test_refusals_name_their_cause():
+    z5 = RingSpec(5)
+    k4, k5 = PerfectComplex.single(Z4, 0, 1), PerfectComplex.single(z5, 0, 1)
+    two = PerfectComplex.build(Z4, 0, [1, 1])
+    cases = [
+        (lambda: PerfectComplex(Z4, 0, (), ()),
+         "a complex needs at least one degree"),
+        (lambda: PerfectComplex(Z4, 0, (1, 1), ()),
+         "need exactly one differential per adjacent pair of degrees"),
+        (lambda: PerfectComplex.build(Z4, 0, [1, -1]),
+         "ranks must be non-negative"),
+        (lambda: direct_sum(k4, k5), "direct sum needs a common ring"),
+        (lambda: ChainMap.build(k4, k5), "chain map needs a common ring"),
+        (lambda: ChainMap.identity(k4) + ChainMap.zero(k4, two),
+         "chain maps have different source or target"),
+        (lambda: ChainMap.identity(k4) @ ChainMap.identity(two),
+         "composition mismatch: inner target is not outer source"),
+        (lambda: HomComplex(k4, k5, 0), "Hom needs a common ring"),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()

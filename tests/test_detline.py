@@ -148,6 +148,17 @@ def test_bridge_rejects_epsilon_ring():
         det_trace_bridge(ChainMap.identity(k))
 
 
+def test_det_and_bridge_need_an_endomorphism():
+    f = ChainMap.zero(PerfectComplex.single(Z4, 0, 1),
+                      PerfectComplex.single(Z4, 0, 2))
+    with pytest.raises(ValueError, match="^determinant needs an "
+                                         "endomorphism$"):
+        det_of_automorphism(f)
+    with pytest.raises(ValueError, match="^the comparison needs an "
+                                         "endomorphism$"):
+        det_trace_bridge(f)
+
+
 def test_bridge_random_matrices():
     rng = random.Random(8)
     for ring in (Z4, Z5):

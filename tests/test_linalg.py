@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import gcd, prod
 
 import pytest
@@ -692,3 +693,29 @@ def test_solver_shape_checks():
         solve(M(Z4, [[1, 2]]), [Z4.one(), Z4.one()])
     with pytest.raises(RingMismatchError):
         solve(M(Z4, [[1]]), [Z5.one()])
+
+
+def test_matrix_refusals_name_their_cause():
+    one4, one5 = Z4.one(), Z5.one()
+    a = M(Z4, [[1]])
+    cases = [
+        (lambda: Matrix(Z4, -1, 0, ()), ShapeError, "negative dimensions"),
+        (lambda: Matrix(Z4, 1, 2, (one4,)), ShapeError,
+         "1x2 matrix needs 2 entries, got 1"),
+        (lambda: Matrix(Z4, 1, 1, (one5,)), RingMismatchError,
+         "entry from a different ring"),
+        (lambda: Matrix.from_rows(Z4, [[1, 2], [3]]), ShapeError,
+         "ragged rows"),
+        (lambda: Matrix.block([]), ShapeError, "empty block grid"),
+        (lambda: Matrix.block([[a, a], [a]]), ShapeError,
+         "ragged block grid"),
+        (lambda: Matrix.block([[a, a], [a, M(Z4, [[1, 2]])]]), ShapeError,
+         "block (1,1) has shape 1x2"),
+        (lambda: a + M(Z5, [[1]]), RingMismatchError,
+         "matrices over different rings"),
+        (lambda: M(Z4, [[1, 2]]).det(), ShapeError,
+         "det needs a square matrix"),
+    ]
+    for make, kind, message in cases:
+        with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+            make()

@@ -116,7 +116,7 @@ def test_defect_is_the_trace_pairing_of_the_squares(case, basis_change):
                    for t in triples]
     for t in triples:
         report = check_triple(ses, t)
-        if report.squares_hold:
+        if report.left.holds and report.right.holds:
             assert trace_pairing(ses, report) == report.defect
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from chaintrace.rings import RingElem, RingMismatchError, RingSpec
@@ -40,6 +42,14 @@ def test_epsilon_squares_to_zero():
 def test_known_product():
     # (1+e)(1+2e) = 1 + 3e = 1 over Z/3[e]
     assert Z3E.element(1, 1) * Z3E.element(1, 2) == Z3E.one()
+
+
+def test_from_index_refuses_indices_out_of_range():
+    assert Z3E.from_index(8) == Z3E.element(2, 2)
+    for ring, i in ((Z4, 4), (Z4, -1), (Z3E, 9)):
+        message = f"index {i} out of range for {ring}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ring.from_index(i)
 
 
 def test_mixed_ring_operands_rejected():

@@ -36,6 +36,7 @@ from chaintrace.search import (
 )
 from chaintrace.ses import (
     EndoTriple,
+    SquareStatus,
     check_triple,
     connecting_square,
     make_extension,
@@ -100,7 +101,9 @@ def test_wrap_instance_discards_incomplete_triangles():
     triple = EndoTriple(ChainMap.zero(sub, sub),
                         ChainMap.zero(ses.middle, ses.middle),
                         ChainMap.identity(quo))
-    assert check_triple(ses, triple).is_violation
+    report = check_triple(ses, triple)
+    assert report.left.holds and report.right.holds and report.defect
+    assert not report.connecting.holds and not report.is_violation
     out = wrap_instance(ses, triple)
     assert out == SearchOutcome(0, None, 0)
 
@@ -140,6 +143,18 @@ def test_certify_rejects_tampered_report():
     tampered = SearchOutcome(
         1, (ses, triple, dataclasses.replace(honest, defect=Z4.element(1))), 1)
     verdict = certify(tampered)
+    assert not verdict and verdict.kind == "mismatch"
+
+
+def test_certify_compares_the_stored_connecting_square():
+    # the counterexample's connecting square is strict; a stored report
+    # that claims it holds only up to homotopy disagrees with certify's
+    out = wrap_instance(*build_counterexample(Z3E)[:2])
+    ses, triple, report = out.first_violation
+    zero = Homotopy.zero(ses.quotient, ses.sub.shift(1))
+    forged = replace(out, first_violation=(
+        ses, triple, replace(report, connecting=SquareStatus(False, zero))))
+    verdict = certify(forged)
     assert not verdict and verdict.kind == "mismatch"
 
 
@@ -454,8 +469,9 @@ def test_strict_squares_build_no_problem():
     middle = system.ses.middle
     zero = EndoTriple(ChainMap.zero(sub, sub), ChainMap.zero(middle, middle),
                       ChainMap.zero(quo, quo))
-    _, _, report, conn = system.classify(zero)
-    assert report.left.strict and report.right.strict and conn.strict
+    _, _, report = system.classify(zero)
+    assert (report.left.strict and report.right.strict
+            and report.connecting.strict)
     assert not any(name in vars(system) for name in names)
     assert "connecting" not in vars(system.pair)
     # the counterexample's left square is not strict: only its problem is

@@ -27,7 +27,7 @@ from chaintrace.homotopy import (
 )
 from chaintrace.linalg import Matrix
 from chaintrace.rings import RingSpec
-from chaintrace.search import build_counterexample
+from chaintrace.search import _tally, build_counterexample
 from chaintrace.ses import (
     CocycleSpace,
     EndoTriple,
@@ -441,7 +441,7 @@ def test_prepared_problems_give_same_squares():
     triple = EndoTriple(ChainMap.zero(ses.sub, ses.sub), v,
                         ChainMap.zero(ses.quotient, ses.quotient))
     a = check_triple(ses, triple)
-    b = squares.visible(triple)
+    b = squares.report(triple)
     assert a.defect == b.defect
     assert a.left.holds == b.left.holds and a.right.strict == b.right.strict
 
@@ -469,6 +469,8 @@ def test_counterexample_squares_are_pinned():
     assert report.left == SquareStatus(False, witness)
     assert report.right == SquareStatus(
         True, Homotopy.zero(ses.middle, ses.quotient))
+    assert report.connecting == SquareStatus(
+        True, Homotopy.zero(ses.quotient, ses.sub.shift(1)))
 
 
 def test_connecting_map_of_block_extension_is_the_twist():
@@ -623,8 +625,8 @@ def test_defect_is_the_trace_pairing_on_the_counterexamples():
         report = check_triple(ses, triple)
         assert report.defect and trace_pairing(ses, report) == report.defect
         defects = set()
-        for _, _, report, conn in _SesSystem(ses).triples():
-            if report.squares_hold and conn.holds:
+        for _, _, report in _SesSystem(ses).triples():
+            if report.squares_hold:
                 assert trace_pairing(ses, report) == report.defect, ring
                 defects.add(report.defect)
         assert len(defects) > 1, ring
@@ -674,9 +676,9 @@ def test_connecting_square_blocks_two_square_impostors_over_a_field():
     w = ChainMap.identity(quo)
     rep = check_triple(ses, EndoTriple(
         u, ChainMap.zero(ses.middle, ses.middle), w))
-    assert rep.squares_hold and rep.is_violation
+    assert rep.left.holds and rep.right.holds
     assert rep.defect == ring.element(1)
-    assert not connecting_square(ses, u, w).holds
+    assert not rep.connecting.holds and not rep.is_violation
 
     # sub identity over a unit twist
     sub2 = PerfectComplex.single(ring, 1, 1)
@@ -685,8 +687,22 @@ def test_connecting_square_blocks_two_square_impostors_over_a_field():
     w2 = ChainMap.zero(quo, quo)
     rep2 = check_triple(ses2, EndoTriple(
         u2, ChainMap.zero(ses2.middle, ses2.middle), w2))
-    assert rep2.squares_hold and rep2.is_violation
-    assert not connecting_square(ses2, u2, w2).holds
+    assert rep2.left.holds and rep2.right.holds and rep2.defect
+    assert not rep2.connecting.holds and not rep2.is_violation
+
+    # swept whole, the two sequences have 16 and 4 examined triples and
+    # no violation, in closed form and one by one; as many unexamined
+    # triples are impostors like the two above
+    for s, want in ((ses, (16, 0)), (ses2, (4, 0))):
+        system = _SesSystem(s)
+        slow = _tally(system.triples(), None)
+        assert system.counts() == want
+        assert (slow.instances_examined, slow.violations_found) == want
+        impostors = sum(
+            r.left.holds and r.right.holds and bool(r.defect)
+            and not r.connecting.holds and not r.is_violation
+            for _, _, r in system.triples())
+        assert impostors == want[0]
 
 
 def test_connecting_square_accepts_prepared_delta_and_problem():
@@ -703,9 +719,9 @@ def test_connecting_square_accepts_prepared_delta_and_problem():
 
 def test_square_context_reused_across_triples_matches_fresh_checks():
     # one _SesSystem decides many triples of its sequence, each problem
-    # built once; every classification must equal a fresh check_triple
-    # plus connecting_square.  Only sequences with a nonzero boundary
-    # count: most random extensions have delta = 0.
+    # built once; every classification must equal a fresh check_triple,
+    # whose connecting square is connecting_square's.  Only sequences
+    # with a nonzero boundary count: most random extensions have delta = 0.
     for ring in SIGNED_RINGS:
         rng = random.Random(f"square context {ring}")
         glued = solved = 0
@@ -725,12 +741,12 @@ def test_square_context_reused_across_triples_matches_fresh_checks():
                     triples.append(strict)
             for triple in triples:
                 got = system.classify(triple)
-                want = (ses, triple, check_triple(ses, triple),
-                        connecting_square(ses, triple.on_sub,
-                                          triple.on_quotient))
-                assert got == want, ring
+                assert got == (ses, triple, check_triple(ses, triple)), ring
+                assert got[2].connecting == connecting_square(
+                    ses, triple.on_sub, triple.on_quotient), ring
                 solved += sum(not s.strict and s.holds
-                              for s in (got[2].left, got[2].right, got[3]))
+                              for s in (got[2].left, got[2].right,
+                                        got[2].connecting))
         assert solved, ring
 
 

@@ -199,6 +199,23 @@ def test_errors_carry_line_numbers():
         ("ring Z/4\nmap j 0 [[1]]", 2, "exactly three"),
         ("ring Z/4\nd 0 [[1]]", 2, "inside a `complex` block"),
         ("ring Z/4\nmumble", 2, "unknown directive"),
+        ("ring Z/4\ncomplex K\n  degrees 0..1\n  ranks 1 1\n  d 0 1", 5,
+         "matrix must look like [[...],[...]], got '1'"),
+        ("ring Z/4\ncomplex two words", 2,
+         "`complex` needs a one-word name"),
+        ("ring Z/4\ncomplex K\n  degrees 0..0\n  ranks 1\ncomplex K", 5,
+         "complex 'K' declared twice"),
+        ("ring Z/4\ncomplex K\n  degrees 0..0\n  degrees 0..0", 4,
+         "second `degrees` line in this block"),
+        ("ring Z/4\ncomplex K\n  degrees 0..0\n  ranks x", 4,
+         "ranks must be integers, got 'x'"),
+        ("ring Z/4\ncomplex K\n  degrees 0..0\n  ranks -1", 4,
+         "ranks must be non-negative"),
+        ("ring Z/4\ncomplex K\n  degrees 0..1\n  ranks 1 1\n  d 0", 5,
+         "expected `d <degree> [[...]]`"),
+        ("ring Z/4\ncomplex K\n  degrees 0..1\n  ranks 1 1\n  d 0 [[1]]\n"
+         "  d 0 [[2]]", 6, "differential at degree 0 given twice"),
+        ("ring Z/4\nmap k 0 [[1]]", 2, "map name must be one of j/q, got 'k'"),
     ]
     for text, line, fragment in cases:
         with pytest.raises(ParseError) as err:
