@@ -222,8 +222,9 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc)
         return FAIL
-    report = check_triple(ses, triple)
-    cert = certify(wrap_instance(ses, triple))
+    outcome = wrap_instance(ses, triple)
+    cert = certify(outcome)
+    _, _, report = outcome.first_violation
     print(f"ring {ring}")
     print("the minimal violating instance:")
     print()
@@ -306,7 +307,7 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
         raise UsageError(f"the comparison needs a square matrix, "
                          f"got {mat.rows}x{mat.cols}")
     k = PerfectComplex.single(ring, 0, mat.rows)
-    u = ChainMap.build(k, k, {0: mat} if mat.rows else {})
+    u = ChainMap(k, k, (mat,))
     try:
         rep = det_trace_bridge(u)
     except ValueError as exc:

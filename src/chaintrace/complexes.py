@@ -194,9 +194,9 @@ class _HomMap:
 
     comps[i] is the block at degree source.lo + i: one block per degree
     of the source, the degrees `_hom_slots` walks.  At any other degree
-    the block has no columns, and `comp` makes it.  Use `build`, which
-    fills in omitted zero blocks, unless deliberately constructing
-    something misshapen for `validate` to report on.
+    the block has no columns, and `comp` makes it.  `build` takes blocks
+    by degree, as parsed files, twists and literals give them, fills in
+    omitted zero blocks and refuses any but the empty one elsewhere.
     """
 
     source: PerfectComplex
@@ -460,19 +460,18 @@ class HomComplex:
     """Degree k of Hom(source, target) and its differential, as one
     linear system: D(X)^n = d_tgt X^n - (-1)^k X^(n+1) d_src.
 
-    Unknowns are the entries of every block X^n : source^n -> target^(n+k)
-    (`var_slots`, degree order, then row-major); equations are the
-    entries of D(X), laid out the same way at degree k+1 (`eq_slots`).
-    Cycles of D are chain maps at k = 0 and extension twists at k = 1;
-    at k = -1 the image of D is the null-homotopic maps.  Counting,
-    enumeration, sampling and solving all go through one SNF solver.
-    """
+    A vector of unknowns is its map's `comps` in order, each block X^n :
+    source^n -> target^(n+k) row-major; empty blocks add no entries, so
+    it fills `var_slots`.  Equations are D(X), of degree k+1, the same
+    way (`eq_slots`).  Cycles are chain maps at k = 0 and twists, chain
+    maps into target[1], at k = 1; at k = -1 the image of D is the
+    null-homotopic maps.  Counting, sampling and solving share one solver."""
 
     def __init__(self, source: PerfectComplex, target: PerfectComplex,
                  k: int):
         if source.ring != target.ring:
             raise ValueError("Hom needs a common ring")
-        self.source, self.target = source, target
+        self.source, self.target, self.k = source, target, k
         self.var_slots = _hom_slots(source, target, k)
         self.eq_slots = _hom_slots(source, target, k + 1)
         mat = _hom_matrix(source.ring, [self.var_slots],
@@ -486,32 +485,31 @@ class HomComplex:
         """Exact number of cycles: degree-k elements X with D(X) = 0."""
         return self.solver.kernel_count
 
-    def flatten(self, block: Callable[[int], Matrix]) -> list[RingElem]:
-        """A right-hand side for D, given its block at each degree n of
-        `eq_slots` (an n -> matrix function), in equation order."""
-        out: list[RingElem] = []
-        for n, _, _ in self.eq_slots:
-            out.extend(block(n).entries)
-        return out
+    def flatten(self, f: _HomMap) -> list[RingElem]:
+        """The entries of f's blocks in order; for f of degree k+1, a
+        right-hand side for D.  ValueError for f out of another complex."""
+        if f.source != self.source:
+            raise ValueError("map is not out of this Hom complex's source")
+        return [x for c in f.comps for x in c.entries]
 
-    def to_blocks(self, vec: Sequence[RingElem]) -> dict[int, Matrix]:
-        """Split a solution vector into its blocks {n: X^n}."""
-        out = {}
-        pos = 0
-        for n, r, c in self.var_slots:
-            out[n] = Matrix(self.source.ring, r, c,
-                            tuple(vec[pos:pos + r * c]))
+    def to_comps(self, vec: Sequence[RingElem]) -> tuple[Matrix, ...]:
+        """A solution vector as the `comps` of its map: the block X^n at
+        every degree n of `source`, empty ones included."""
+        ring, comps, pos = self.source.ring, [], 0
+        for n in self.source.degrees():
+            r, c = self.target.rank(n + self.k), self.source.rank(n)
+            comps.append(Matrix(ring, r, c, tuple(vec[pos:pos + r * c])))
             pos += r * c
-        return out
+        return tuple(comps)
 
-    def iter_cycles(self) -> Iterator[dict[int, Matrix]]:
+    def iter_cycles(self) -> Iterator[tuple[Matrix, ...]]:
         for vec in self.solver.iter_solutions(self._zero_rhs):
-            yield self.to_blocks(vec)
+            yield self.to_comps(vec)
 
-    def sample_cycle(self, rng: Random) -> dict[int, Matrix]:
+    def sample_cycle(self, rng: Random) -> tuple[Matrix, ...]:
         vec = self.solver.sample_solution(self._zero_rhs, rng)
         assert vec is not None  # homogeneous systems always have 0
-        return self.to_blocks(vec)
+        return self.to_comps(vec)
 
 
 class ChainMapSpace(HomComplex):
@@ -522,9 +520,8 @@ class ChainMapSpace(HomComplex):
         super().__init__(source, target, 0)
 
     def iter_all(self) -> Iterator[ChainMap]:
-        for blocks in self.iter_cycles():
-            yield ChainMap.build(self.source, self.target, blocks)
+        for comps in self.iter_cycles():
+            yield ChainMap(self.source, self.target, comps)
 
     def sample(self, rng: Random) -> ChainMap:
-        return ChainMap.build(self.source, self.target,
-                              self.sample_cycle(rng))
+        return ChainMap(self.source, self.target, self.sample_cycle(rng))

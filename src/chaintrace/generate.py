@@ -95,7 +95,7 @@ def random_homotopy(rng: Random, source: PerfectComplex,
 
 def random_cocycle(rng: Random, sub: PerfectComplex,
                    quotient: PerfectComplex) -> dict[int, Matrix]:
-    """Uniform legal twist for make_extension(sub, quotient, ...)."""
+    """Uniform legal twist for make_extension: a block per quotient degree."""
     return CocycleSpace(sub, quotient).sample(rng)
 
 
@@ -114,13 +114,13 @@ def random_extension(rng: Random, ring: RingSpec, *, max_window: int,
 
 def assemble_block_endo(ses: ShortExactSequence, u: ChainMap, w: ChainMap,
                         filler: dict[int, Matrix]) -> ChainMap:
-    """The endomorphism [[u, filler], [0, w]] of the middle complex."""
+    """The endomorphism [[u, filler], [0, w]] of the middle complex, with
+    the filler's block quotient^n -> sub^n zero at each degree it omits."""
     ring, sub, quo = ses.ring, ses.sub, ses.quotient
-    blocks = {}
-    for n in ses.middle.degrees():
-        t = filler.get(n, Matrix.zero(ring, sub.rank(n), quo.rank(n)))
-        blocks[n] = _upper_block(u.comp(n), t, w.comp(n))
-    return ChainMap.build(ses.middle, ses.middle, blocks)
+    return ChainMap(ses.middle, ses.middle, tuple(
+        _upper_block(u.comp(n), filler[n] if n in filler else
+                     Matrix.zero(ring, sub.rank(n), quo.rank(n)), w.comp(n))
+        for n in ses.middle.degrees()))
 
 
 def random_strict_triple(rng: Random, ses: ShortExactSequence, *,

@@ -54,14 +54,13 @@ class NullHomotopyProblem(HomComplex):
         """Complete invariant of f modulo maps of the form d h + h d: two
         maps get the same key exactly when their difference is one, so
         equality of keys decides 'homotopic' without solving twice."""
-        return self.solver.coset_key(self.flatten(f.comp))
+        return self.solver.coset_key(self.flatten(f))
 
     def solve_for(self, f: ChainMap) -> Optional[Homotopy]:
-        rep = self.solver.solve(self.flatten(f.comp))
+        rep = self.solver.solve(self.flatten(f))
         if not rep.solvable:
             return None
-        h = Homotopy.build(self.source, self.target,
-                           self.to_blocks(rep.witness))
+        h = Homotopy(self.source, self.target, self.to_comps(rep.witness))
         # soundness re-check: the witness must satisfy f = d h + h d exactly
         if perturb(ChainMap.zero(self.source, self.target), h) != f:
             raise RuntimeError("null-homotopy witness failed re-evaluation; "

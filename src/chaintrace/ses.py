@@ -357,14 +357,15 @@ class _SesSystem:
 
     def sample_filler(self, u: ChainMap, w: ChainMap,
                       rng: Random) -> Optional[dict[int, Matrix]]:
-        """A uniform filler t, blocks t^n: M^n -> K^n, that makes [[u, t],
-        [0, w]] a chain endo of a block-form middle, so that both visible
-        squares commute strictly; None when the pair (u, w) has none."""
+        """A uniform filler t, a block t^n: M^n -> K^n per degree of M, that
+        makes [[u, t], [0, w]] a chain endo of a block-form middle, so that
+        both visible squares commute strictly; None if (u, w) has none."""
         diff, problem = self.connecting_diff(u, w), self.conn_prob
         # a filler solves d_sub t - t d_quo = diff, i.e. D(t) = -diff here
         filler = problem.solver.sample_solution(
-            problem.flatten(lambda n: -diff.comp(n)), rng)
-        return None if filler is None else problem.to_blocks(filler)
+            [-x for x in problem.flatten(diff)], rng)
+        return None if filler is None else dict(
+            zip(problem.source.degrees(), problem.to_comps(filler)))
 
     def classify(self, triple: EndoTriple) -> Violation:
         """The triple with its sequence and report: the shape in which the
@@ -524,19 +525,21 @@ def _block_maps(sub: PerfectComplex, quotient: PerfectComplex,
     """The block injection sub -> middle and projection middle ->
     quotient of a middle laid out as sub (+) quotient: the first rank(sub)
     columns and the last rank(quotient) rows of the identity."""
-    ring = sub.ring
-    one, zero = ring.one(), ring.zero()
-    inc, proj = {}, {}
-    for n in middle.degrees():
-        rs, r = sub.rank(n), sub.rank(n) + quotient.rank(n)
-        ident = [[one if i == j else zero for j in range(r)]
-                 for i in range(r)]
-        inc[n] = Matrix(ring, r, rs,
-                        tuple(x for row in ident for x in row[:rs]))
-        proj[n] = Matrix(ring, r - rs, r,
-                         tuple(x for row in ident[rs:] for x in row))
-    return (ChainMap.build(sub, middle, inc),
-            ChainMap.build(middle, quotient, proj))
+    one, zero = sub.ring.one(), sub.ring.zero()
+
+    def basis(n: int) -> range:     # of sub^n (+) quotient^n
+        return range(sub.rank(n) + quotient.rank(n))
+
+    def identity_block(rows: range, cols: range) -> Matrix:
+        return Matrix(sub.ring, len(rows), len(cols), tuple(
+            one if i == j else zero for i in rows for j in cols))
+
+    return (ChainMap(sub, middle, tuple(
+                identity_block(basis(n), basis(n)[:sub.rank(n)])
+                for n in sub.degrees())),
+            ChainMap(middle, quotient, tuple(
+                identity_block(basis(n)[sub.rank(n):], basis(n))
+                for n in middle.degrees())))
 
 
 def make_extension(sub: PerfectComplex, quotient: PerfectComplex,
@@ -575,19 +578,19 @@ def make_extension(sub: PerfectComplex, quotient: PerfectComplex,
 
 
 def extension_twist(ses: ShortExactSequence) -> dict[int, Matrix]:
-    """Read the twist back off an extension in block form.
+    """Read the twist back off an extension in block form, one block per
+    degree of the quotient, as CocycleSpace yields it.
 
     Requires the inclusion and projection to be exactly the canonical
     block injection/projection (as produced by make_extension); raises
     ValueError otherwise, because then the top-right block of the middle
-    differential has no preferred meaning.
-    """
+    differential has no preferred meaning."""
     sub, mid, quo = ses.sub, ses.middle, ses.quotient
     if (ses.inclusion, ses.projection) != _block_maps(sub, quo, mid):
         raise ValueError("extension is not in block form")
     out = {}
-    for n, r, c in _hom_slots(quo, sub, 1):
-        d = mid.diff(n)
+    for n in quo.degrees():
+        r, c, d = sub.rank(n + 1), quo.rank(n), mid.diff(n)
         out[n] = Matrix(ses.ring, r, c, tuple(d.entry(i, sub.rank(n) + j)
                                             for i in range(r)
                                             for j in range(c)))
@@ -597,14 +600,14 @@ def extension_twist(ses: ShortExactSequence) -> dict[int, Matrix]:
 class CocycleSpace(HomComplex):
     """All legal twists for make_extension(sub, quotient, ...): the cycles
     of Hom(quotient, sub) in degree +1, where D(t) = d_sub t + t d_quo.
-    Yields plain {degree: matrix} dicts ready to feed to make_extension.
-    """
+    Yields {degree: block} dicts for it, a block per quotient degree."""
 
     def __init__(self, sub: PerfectComplex, quotient: PerfectComplex):
         super().__init__(quotient, sub, 1)
 
     def iter_all(self) -> Iterator[dict[int, Matrix]]:
-        return self.iter_cycles()
+        for comps in self.iter_cycles():
+            yield dict(zip(self.source.degrees(), comps))
 
     def sample(self, rng: Random) -> dict[int, Matrix]:
-        return self.sample_cycle(rng)
+        return dict(zip(self.source.degrees(), self.sample_cycle(rng)))

@@ -281,11 +281,14 @@ def test_hom_complex_cycles_are_chain_maps_into_shift():
                 assert hom.count == shifted.count
                 if ring == Z4 and hom.n_vars <= 6:
                     degs, expect = brute_hom_cycles(src, tgt, k)
-                    cycles = {tuple(x.items()) for x in hom.iter_cycles()}
-                    maps = {tuple((n, f.comp(n)) for n in degs)
-                            for f in shifted.iter_all()}
+                    # a cycle is its map's comps, empty blocks included
+                    cycles = set(hom.iter_cycles())
+                    maps = {f.comps for f in shifted.iter_all()}
+                    full = {tuple(dict(x).get(n, Matrix.zero(
+                        ring, tgt.rank(n + k), src.rank(n)))
+                        for n in src.degrees()) for x in expect}
                     assert hom.count == len(expect)
-                    assert cycles == maps == expect
+                    assert cycles == maps == full
                     brute += 1
                     constrained += hom.count < 4 ** hom.n_vars
     assert brute >= 100 and constrained >= 10
@@ -307,11 +310,19 @@ def test_hom_differential_matches_hom_complex_rows():
                 hom = HomComplex(src, tgt, k)
                 x = {n: random_matrix(rng, ring, r, c)
                      for n, r, c in hom.var_slots}
-                dx = dict(_hom_d(src, tgt, k, lambda n: x.get(
-                    n, Matrix.zero(ring, tgt.rank(n + k), src.rank(n)))))
+
+                def padded(n):
+                    return x.get(n, Matrix.zero(ring, tgt.rank(n + k),
+                                                src.rank(n)))
+
+                dx = dict(_hom_d(src, tgt, k, padded))
                 assert list(dx) == [n for n, _, _ in hom.eq_slots]
                 vec = [e for n, _, _ in hom.var_slots for e in x[n].entries]
-                assert hom.flatten(dx.__getitem__) == hom.solver.mat.apply(vec)
+                # the vector is its map's blocks in order, empty ones too
+                assert hom.to_comps(vec) == tuple(map(padded, src.degrees()))
+                # D(X), a degree k+1 map, flattens to the rows applied
+                assert hom.flatten(ChainMap.build(src, tgt.shift(k + 1), dx)) \
+                    == hom.solver.mat.apply(vec)
                 cases += 1
                 non_cycles += any(not b.is_zero() for b in dx.values())
     assert cases == 800 and non_cycles >= 100

@@ -142,6 +142,18 @@ def test_perturb_and_are_homotopic_refuse_mismatched_maps():
             are_homotopic(f, g)
 
 
+def test_prepared_problem_refuses_a_map_out_of_another_complex():
+    # a map's entries are laid out by its source's degrees, so a map out
+    # of another complex is refused rather than read in the wrong layout
+    k, l = two_term(Z4, 2), PerfectComplex.single(Z4, 1, 1)
+    problem = NullHomotopyProblem(k, k)
+    for call in (problem.coset_key, problem.solve_for):
+        with pytest.raises(ValueError, match="^map is not out of this Hom "
+                                             "complex's source$"):
+            call(ChainMap.zero(l, k))
+    assert problem.solve_for(ChainMap.zero(k, k)) == Homotopy.zero(k, k)
+
+
 def brute_null_homotopy_images(src, tgt):
     """Oracle: evaluate d h + h d for every homotopy h, by direct matrix
     arithmetic (no SNF anywhere), and collect the flattened images."""

@@ -321,21 +321,24 @@ def test_system_matrix_matches_products_on_random_blocks():
             probs = (system.left_prob, system.right_prob, system.conn_prob)
             vecs = [[random_element(rng, ring) for _ in range(x.n_vars)]
                     for x in (*spaces, *probs)]
-            u, v, w = (ChainMap.build(s.source, s.target, s.to_blocks(vec))
+            u, v, w = (ChainMap(s.source, s.target, s.to_comps(vec))
                        for s, vec in zip(spaces, vecs))
-            hs = [Homotopy.build(p.source, p.target, p.to_blocks(vec))
+            hs = [Homotopy(p.source, p.target, p.to_comps(vec))
                   for p, vec in zip(probs, vecs[3:])]
             j, q = system.ses.inclusion, system.ses.projection
             delta = system.delta
             expect = []
             for s, e in zip(spaces, (u, v, w)):
-                expect += s.flatten(dict(_hom_d(s.source, s.target, 0,
-                                                e.comp)).__getitem__)
+                expect += s.flatten(ChainMap.build(
+                    s.source, s.target.shift(1),
+                    dict(_hom_d(s.source, s.target, 0, e.comp))))
             squares = (v @ j - j @ u, q @ v - w @ q,
                        u.shift(1) @ delta - delta @ w)
             for p, diff, h in zip(probs, squares, hs):
-                dh = dict(_hom_d(p.source, p.target, -1, h.comp))
-                expect += p.flatten(lambda n: diff.comp(n) - dh[n])
+                dh = ChainMap.build(p.source, p.target,
+                                    dict(_hom_d(p.source, p.target, -1,
+                                                h.comp)))
+                expect += p.flatten(diff - dh)
             expect.append(graded_trace(v) - graded_trace(u)
                           - graded_trace(w))
             got = system.matrix().apply([x for vec in vecs for x in vec])

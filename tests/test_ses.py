@@ -171,6 +171,20 @@ def test_make_extension_refuses_a_twist_block_where_only_the_sub_has_rank():
         make_extension(k, k, {0: M(Z4, [[1]])})
 
 
+def padded_block_maps(sub, quo, mid):
+    """Reference for `_block_maps`: identity slices at every degree of the
+    middle, fitted to each map's source by `ChainMap.build`."""
+    ring = sub.ring
+    inc, proj = {}, {}
+    for n in mid.degrees():
+        rs, r = sub.rank(n), sub.rank(n) + quo.rank(n)
+        ident = Matrix.identity(ring, r)
+        inc[n] = Matrix(ring, r, rs, tuple(ident.entry(i, j) for i in range(r)
+                                           for j in range(rs)))
+        proj[n] = Matrix(ring, r - rs, r, ident.entries[rs * r:])
+    return ChainMap.build(sub, mid, inc), ChainMap.build(mid, quo, proj)
+
+
 def test_make_extension_zero_twist_is_direct_sum():
     sub = PerfectComplex.build(Z4, 0, [1, 1], {0: M(Z4, [[2]])})
     quo = PerfectComplex.single(Z4, 0, 2)
@@ -178,6 +192,21 @@ def test_make_extension_zero_twist_is_direct_sum():
     assert validate_ses(ses)
     assert ses.middle.rank(0) == 3 and ses.middle.rank(1) == 1
     assert (ses.projection @ ses.inclusion).is_zero()
+    # the block maps, built one block per degree of each source, are the
+    # padded ones, also for the zero complex and windows that do not meet
+    rng = random.Random("block maps")
+    zero = PerfectComplex.build(Z4, 0, [0])
+    disjoint = zeros = 0
+    for _ in range(60):
+        sub, quo = (zero if rng.random() < 0.2 else random_complex(
+            rng, Z4, max_window=2, max_rank=2, lo=rng.randrange(-3, 4))
+            for _ in range(2))
+        ses = make_extension(sub, quo, CocycleSpace(sub, quo).sample(rng))
+        assert (ses.inclusion, ses.projection) == _block_maps(
+            sub, quo, ses.middle) == padded_block_maps(sub, quo, ses.middle)
+        zeros += zero in (sub, quo)
+        disjoint += sub.hi < quo.lo or quo.hi < sub.lo
+    assert zeros >= 10 and disjoint >= 10, (zeros, disjoint)
 
 
 def test_validate_ses_catches_non_injective_inclusion():
