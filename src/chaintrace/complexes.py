@@ -195,8 +195,8 @@ class _HomMap:
     comps[i] is the block at degree source.lo + i: one block per degree
     of the source, the degrees `_hom_slots` walks.  At any other degree
     the block has no columns, and `comp` makes it.  `build` takes blocks
-    by degree, as parsed files, twists and literals give them, fills in
-    omitted zero blocks and refuses any but the empty one elsewhere.
+    by degree, as parsed files and literals give them, fills in omitted
+    zero blocks and refuses any but the empty one elsewhere.
     """
 
     source: PerfectComplex
@@ -228,7 +228,10 @@ class _HomMap:
     @classmethod
     def zero(cls: type[_M], source: PerfectComplex,
              target: PerfectComplex) -> _M:
-        return cls.build(source, target)
+        if source.ring != target.ring:
+            raise ValueError(f"{cls._noun} needs a common ring")
+        return cls(source, target, tuple(cls._zero_block(source, target, n)
+                                         for n in source.degrees()))
 
     @classmethod
     def _zero_block(cls, source: PerfectComplex, target: PerfectComplex,
@@ -464,8 +467,8 @@ class HomComplex:
     source^n -> target^(n+k) row-major; empty blocks add no entries, so
     it fills `var_slots`.  Equations are D(X), of degree k+1, the same
     way (`eq_slots`).  Cycles are chain maps at k = 0 and twists, chain
-    maps into target[1], at k = 1; at k = -1 the image of D is the
-    null-homotopic maps.  Counting, sampling and solving share one solver."""
+    maps into target[1], at k = 1; at k = -1, whose unknowns include
+    fillers, D's image is the null-homotopic maps.  One solver serves all."""
 
     def __init__(self, source: PerfectComplex, target: PerfectComplex,
                  k: int):

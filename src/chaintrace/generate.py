@@ -94,8 +94,8 @@ def random_homotopy(rng: Random, source: PerfectComplex,
 
 
 def random_cocycle(rng: Random, sub: PerfectComplex,
-                   quotient: PerfectComplex) -> dict[int, Matrix]:
-    """Uniform legal twist for make_extension: a block per quotient degree."""
+                   quotient: PerfectComplex) -> ChainMap:
+    """Uniform twist for make_extension: a chain map quotient -> sub[1]."""
     return CocycleSpace(sub, quotient).sample(rng)
 
 
@@ -113,13 +113,11 @@ def random_extension(rng: Random, ring: RingSpec, *, max_window: int,
 
 
 def assemble_block_endo(ses: ShortExactSequence, u: ChainMap, w: ChainMap,
-                        filler: dict[int, Matrix]) -> ChainMap:
-    """The endomorphism [[u, filler], [0, w]] of the middle complex, with
-    the filler's block quotient^n -> sub^n zero at each degree it omits."""
-    ring, sub, quo = ses.ring, ses.sub, ses.quotient
+                        filler: Homotopy) -> ChainMap:
+    """The endomorphism [[u, filler], [0, w]] of the middle complex, for a
+    filler Homotopy quotient -> sub.shift(1): blocks quotient^n -> sub^n."""
     return ChainMap(ses.middle, ses.middle, tuple(
-        _upper_block(u.comp(n), filler[n] if n in filler else
-                     Matrix.zero(ring, sub.rank(n), quo.rank(n)), w.comp(n))
+        _upper_block(u.comp(n), filler.comp(n), w.comp(n))
         for n in ses.middle.degrees()))
 
 

@@ -61,8 +61,9 @@ class NullHomotopyProblem(HomComplex):
         if not rep.solvable:
             return None
         h = Homotopy(self.source, self.target, self.to_comps(rep.witness))
-        # soundness re-check: the witness must satisfy f = d h + h d exactly
-        if perturb(ChainMap.zero(self.source, self.target), h) != f:
+        # soundness re-check: f = d h + h d exactly, at each nonempty block
+        dh = _hom_d(self.source, self.target, -1, h.comp)
+        if f.target != self.target or any(x != f.comp(n) for n, x in dh):
             raise RuntimeError("null-homotopy witness failed re-evaluation; "
                                "solver bug")
         return h

@@ -143,8 +143,8 @@ def build_counterexample(
                          f"the violating instance cannot be built")
     sub = PerfectComplex.single(ring, 1, 1)
     quo = PerfectComplex.single(ring, 0, 1)
-    ses = make_extension(sub, quo,
-                         {0: Matrix.from_rows(ring, [[x]])})
+    ses = make_extension(sub, quo, ChainMap.build(
+        quo, sub.shift(1), {0: Matrix.from_rows(ring, [[x]])}))
     v = ChainMap.build(ses.middle, ses.middle,
                        {1: Matrix.from_rows(ring, [[x]])})
     triple = EndoTriple(ChainMap.zero(sub, sub), v,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from random import Random
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from .complexes import (
     ChainMap,
@@ -67,17 +67,17 @@ class ShortExactSequence:
         return self.middle.ring
 
     # connecting_map's boundary, kept outside the fields, so that ==, hash
-    # and repr do not see it; make_extension stores the one it validated
+    # and repr do not see it; make_extension stores the twist it validated
     @cached_property
     def _delta(self) -> ChainMap:
         # the section as a degree-0 element of Hom(M, L), not a chain map
         s = ChainMap.build(self.quotient, self.middle, find_section(self))
-        return _boundary(self.sub, self.quotient, {
+        return _boundary(ChainMap.build(self.quotient, self.sub.shift(1), {
             n: _solve_columns(
                 self.inclusion.comp(n + 1), ds,
                 f"no boundary at degree {n}: is the sequence exact?")
             for n, ds in _hom_d(self.quotient, self.middle, 0, s.comp)
-            if self.sub.rank(n + 1)})
+            if self.sub.rank(n + 1)}))
 
 
 def validate_ses(ses: ShortExactSequence) -> Validation:
@@ -177,7 +177,7 @@ def find_section(ses: ShortExactSequence) -> dict[int, Matrix]:
 def connecting_map(ses: ShortExactSequence) -> ChainMap:
     """The boundary of the sequence: a chain map quotient -> sub.shift(1).
 
-    make_extension keeps the boundary it built and checked.  Any other
+    make_extension keeps the twist it was given and checked.  Any other
     sequence derives it once, as the connecting homomorphism of Hom(M, -):
     a degreewise section s of the projection q (find_section) has
     q D(s) = 0 for D(s) = d_middle s - s d_quotient, so D(s) lands in the
@@ -356,16 +356,16 @@ class _SesSystem:
         return self._square(self.connecting_diff(u, w), "conn_prob")
 
     def sample_filler(self, u: ChainMap, w: ChainMap,
-                      rng: Random) -> Optional[dict[int, Matrix]]:
-        """A uniform filler t, a block t^n: M^n -> K^n per degree of M, that
-        makes [[u, t], [0, w]] a chain endo of a block-form middle, so that
-        both visible squares commute strictly; None if (u, w) has none."""
+                      rng: Random) -> Optional[Homotopy]:
+        """A uniform filler t, a Homotopy M -> K[1] of the connecting problem,
+        that makes [[u, t], [0, w]] a chain endo of a block-form middle, so
+        that both visible squares commute strictly; None if (u, w) has none."""
         diff, problem = self.connecting_diff(u, w), self.conn_prob
         # a filler solves d_sub t - t d_quo = diff, i.e. D(t) = -diff here
         filler = problem.solver.sample_solution(
             [-x for x in problem.flatten(diff)], rng)
-        return None if filler is None else dict(
-            zip(problem.source.degrees(), problem.to_comps(filler)))
+        return None if filler is None else Homotopy(
+            problem.source, problem.target, problem.to_comps(filler))
 
     def classify(self, triple: EndoTriple) -> Violation:
         """The triple with its sequence and report: the shape in which the
@@ -504,16 +504,10 @@ def connecting_square(ses: ShortExactSequence, on_sub: ChainMap,
 # ---------------------------------------------------------------------------
 
 
-def _boundary(sub: PerfectComplex, quotient: PerfectComplex,
-              twist: Mapping[int, Matrix]) -> ChainMap:
-    """The twist as the chain map quotient -> sub.shift(1), the boundary
-    of the extension it glues (or the boundary connecting_map derived):
-    its chain condition is d_sub t + t d_quo = 0.  ValueError naming the
-    degree unless it is a valid chain map."""
-    try:
-        delta = ChainMap.build(quotient, sub.shift(1), twist)
-    except ValueError as exc:
-        raise ValueError(f"twist is not a boundary map: {exc}") from None
+def _boundary(delta: ChainMap) -> ChainMap:
+    """delta, a map quotient -> sub.shift(1) (a twist, or the boundary that
+    connecting_map derived), once checked to be a chain map, which is
+    d_sub t + t d_quo = 0; ValueError naming the first failing degree."""
     check = delta.validate()
     if not check:
         raise ValueError(f"twist is not a boundary map: {check.message}")
@@ -543,25 +537,23 @@ def _block_maps(sub: PerfectComplex, quotient: PerfectComplex,
 
 
 def make_extension(sub: PerfectComplex, quotient: PerfectComplex,
-                   twist: Optional[Mapping[int, Matrix]] = None,
+                   twist: Optional[ChainMap] = None,
                    ) -> ShortExactSequence:
-    """Assemble the short exact sequence with the given twisting maps.
+    """Assemble the short exact sequence glued by the twist, a chain map
+    quotient -> sub.shift(1) (the zero map when None).
 
     The middle complex is sub (+) quotient degreewise, with differential
 
         [ d_sub   twist ]
         [   0     d_quo ]
 
-    where twist[n] maps quotient degree n into sub degree n+1.  For the
-    result to be a complex the twist must satisfy
+    It is a complex when the twist is a valid chain map,
 
-        d_sub^(n+1) twist^n + twist^(n+1) d_quo^n = 0
+        d_sub^(n+1) twist^n + twist^(n+1) d_quo^n = 0,
 
-    that is, be the chain map quotient -> sub.shift(1) that is the
-    sequence's boundary (checked here; ValueError when it fails —
-    enumerate CocycleSpace to get exactly the twists that pass).  The
-    inclusion and projection are the block injection and projection,
-    so the sequence is exact by construction.
+    and then the twist is the sequence's boundary.  ValueError otherwise,
+    or for any other map; CocycleSpace yields exactly the twists that
+    pass.  The block inclusion and projection make the sequence exact.
     """
     if sub.ring != quotient.ring:
         raise ValueError("extension needs a common ring")
@@ -569,7 +561,12 @@ def make_extension(sub: PerfectComplex, quotient: PerfectComplex,
         v = k.validate()
         if not v:
             raise ValueError(f"{name} complex invalid: {v.message}")
-    delta = _boundary(sub, quotient, twist or {})
+    shifted = sub.shift(1)
+    twist = ChainMap.zero(quotient, shifted) if twist is None else twist
+    if not (isinstance(twist, ChainMap)
+            and (twist.source, twist.target) == (quotient, shifted)):
+        raise ValueError("twist is not a chain map quotient -> sub.shift(1)")
+    delta = _boundary(twist)
     middle = _twisted_sum(sub, quotient, delta.comp)
     ses = ShortExactSequence(sub, middle, quotient,
                              *_block_maps(sub, quotient, middle))
@@ -577,9 +574,9 @@ def make_extension(sub: PerfectComplex, quotient: PerfectComplex,
     return ses
 
 
-def extension_twist(ses: ShortExactSequence) -> dict[int, Matrix]:
-    """Read the twist back off an extension in block form, one block per
-    degree of the quotient, as CocycleSpace yields it.
+def extension_twist(ses: ShortExactSequence) -> ChainMap:
+    """Read the twist back off an extension in block form: the chain map
+    quotient -> sub.shift(1) that make_extension takes.
 
     Requires the inclusion and projection to be exactly the canonical
     block injection/projection (as produced by make_extension); raises
@@ -588,26 +585,27 @@ def extension_twist(ses: ShortExactSequence) -> dict[int, Matrix]:
     sub, mid, quo = ses.sub, ses.middle, ses.quotient
     if (ses.inclusion, ses.projection) != _block_maps(sub, quo, mid):
         raise ValueError("extension is not in block form")
-    out = {}
+    comps = []
     for n in quo.degrees():
         r, c, d = sub.rank(n + 1), quo.rank(n), mid.diff(n)
-        out[n] = Matrix(ses.ring, r, c, tuple(d.entry(i, sub.rank(n) + j)
-                                            for i in range(r)
-                                            for j in range(c)))
-    return out
+        comps.append(Matrix(ses.ring, r, c, tuple(
+            d.entry(i, sub.rank(n) + j) for i in range(r) for j in range(c))))
+    return ChainMap(quo, sub.shift(1), tuple(comps))
 
 
 class CocycleSpace(HomComplex):
     """All legal twists for make_extension(sub, quotient, ...): the cycles
-    of Hom(quotient, sub) in degree +1, where D(t) = d_sub t + t d_quo.
-    Yields {degree: block} dicts for it, a block per quotient degree."""
+    of Hom(quotient, sub) in degree +1, where D(t) = d_sub t + t d_quo,
+    each yielded as the chain map quotient -> sub.shift(1)."""
 
     def __init__(self, sub: PerfectComplex, quotient: PerfectComplex):
         super().__init__(quotient, sub, 1)
 
-    def iter_all(self) -> Iterator[dict[int, Matrix]]:
+    def iter_all(self) -> Iterator[ChainMap]:
+        target = self.target.shift(1)
         for comps in self.iter_cycles():
-            yield dict(zip(self.source.degrees(), comps))
+            yield ChainMap(self.source, target, comps)
 
-    def sample(self, rng: Random) -> dict[int, Matrix]:
-        return dict(zip(self.source.degrees(), self.sample_cycle(rng)))
+    def sample(self, rng: Random) -> ChainMap:
+        return ChainMap(self.source, self.target.shift(1),
+                        self.sample_cycle(rng))

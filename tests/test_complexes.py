@@ -454,6 +454,8 @@ def test_refusals_name_their_cause():
          "ranks must be non-negative"),
         (lambda: direct_sum(k4, k5), "direct sum needs a common ring"),
         (lambda: ChainMap.build(k4, k5), "chain map needs a common ring"),
+        (lambda: ChainMap.zero(k4, k5), "chain map needs a common ring"),
+        (lambda: Homotopy.zero(k4, k5), "homotopy needs a common ring"),
         (lambda: ChainMap.identity(k4) + ChainMap.zero(k4, two),
          "chain maps have different source or target"),
         (lambda: ChainMap.identity(k4) @ ChainMap.identity(two),

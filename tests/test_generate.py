@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from chaintrace.complexes import ChainMap, ChainMapSpace, PerfectComplex
+from chaintrace.complexes import (ChainMap, ChainMapSpace, Homotopy,
+                                  PerfectComplex)
 from chaintrace.detline import det_of_automorphism
 from chaintrace.generate import (
     assemble_block_endo,
@@ -30,6 +31,7 @@ from chaintrace.ses import (
     validate_ses,
     _SesSystem,
 )
+from test_ses import twist_map
 
 Z4 = RingSpec(4)
 Z6 = RingSpec(6)
@@ -63,13 +65,15 @@ def lift(monkeypatch):
 
 
 def filler_of(ses, v):
-    """The top-right blocks t^n: M^n -> K^n of an endo of a block middle."""
+    """The top-right blocks t^n: M^n -> K^n of an endo of a block middle,
+    as the homotopy M -> K[1] they make."""
     sub, quo = ses.sub, ses.quotient
-    return {n: Matrix(ses.ring, sub.rank(n), quo.rank(n),
-                      tuple(v.comp(n).entry(i, sub.rank(n) + j)
-                            for i in range(sub.rank(n))
-                            for j in range(quo.rank(n))))
-            for n in ses.middle.degrees()}
+    return Homotopy.build(quo, sub.shift(1), {
+        n: Matrix(ses.ring, sub.rank(n), quo.rank(n),
+                  tuple(v.comp(n).entry(i, sub.rank(n) + j)
+                        for i in range(sub.rank(n))
+                        for j in range(quo.rank(n))))
+        for n in ses.middle.degrees()})
 
 
 def test_random_complex_always_valid():
@@ -161,11 +165,13 @@ def test_diagonal_filler_on_disjoint_degrees(lift):
     # strictness is a yes/no question about u and w alone
     sub = PerfectComplex.single(Z3E, 1, 1)
     quo = PerfectComplex.single(Z3E, 0, 1)
-    ses = make_extension(sub, quo, {0: M(Z3E, [[Z3E.epsilon()]])})
+    ses = make_extension(sub, quo,
+                         twist_map(sub, quo, {0: M(Z3E, [[Z3E.epsilon()]])}))
     ident_u = ChainMap.identity(sub)
     ident_w = ChainMap.identity(quo)
     triple = lift(ses, ident_u, ident_w)
-    assert triple.on_middle == assemble_block_endo(ses, ident_u, ident_w, {})
+    assert triple.on_middle == assemble_block_endo(
+        ses, ident_u, ident_w, Homotopy.zero(quo, sub.shift(1)))
     assert lift(ses, ident_u, ChainMap.zero(quo, quo)) is None
 
 
@@ -233,6 +239,15 @@ def test_assemble_block_endo_matches_filler(lift):
         assert v.validate()
         assert v == assemble_block_endo(ses, u, w, filler_of(ses, v))
         assert graded_trace(v) == graded_trace(u) + graded_trace(w)
+        # the zero filler gives the block diagonal [[u, 0], [0, w]]
+        diagonal = ChainMap.build(ses.middle, ses.middle, {
+            n: Matrix.block([[u.comp(n), Matrix.zero(Z4, sub.rank(n),
+                                                     quo.rank(n))],
+                             [Matrix.zero(Z4, quo.rank(n), sub.rank(n)),
+                              w.comp(n)]])
+            for n in ses.middle.degrees()})
+        assert assemble_block_endo(
+            ses, u, w, Homotopy.zero(quo, sub.shift(1))) == diagonal
 
 
 def test_random_matrix_deterministic():
@@ -255,16 +270,10 @@ def test_filler_solvability_matches_connecting_square(lift):
 def solves_filler_equation(ses, twist, u, w, t):
     """d_K t - t d_M = u delta - delta w at every degree, by products of
     the twist's own blocks."""
-    ring, sub, quo = ses.ring, ses.sub, ses.quotient
-
-    def block(blocks, n, rows, cols):
-        return blocks.get(n, Matrix.zero(ring, rows, cols))
-
+    sub, quo = ses.sub, ses.quotient
     for n in range(min(sub.lo, quo.lo) - 1, max(sub.hi, quo.hi) + 1):
-        t_n = block(t, n, sub.rank(n), quo.rank(n))
-        t_next = block(t, n + 1, sub.rank(n + 1), quo.rank(n + 1))
-        delta = block(twist, n, sub.rank(n + 1), quo.rank(n))
-        if (sub.diff(n) @ t_n - t_next @ quo.diff(n)
+        delta = twist.comp(n)
+        if (sub.diff(n) @ t.comp(n) - t.comp(n + 1) @ quo.diff(n)
                 != u.comp(n + 1) @ delta - delta @ w.comp(n)):
             return False
     return True
@@ -289,7 +298,7 @@ def test_filler_matches_brute_force_on_tiny_pairs(lift):
                 for n, r, c in slots:
                     t[n] = Matrix(ring, r, c, flat[pos:pos + r * c])
                     pos += r * c
-                fillers.append(t)
+                fillers.append(Homotopy.build(quo, sub.shift(1), t))
             for twist in CocycleSpace(sub, quo).iter_all():
                 ses = make_extension(sub, quo, twist)
                 for u, w in itertools.product(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -16,7 +17,7 @@ from chaintrace.homotopy import (
     graded_trace,
     perturb,
 )
-from chaintrace.linalg import Matrix
+from chaintrace.linalg import LinearSolver, Matrix
 from chaintrace.rings import RingSpec
 
 Z4 = RingSpec(4)
@@ -152,6 +153,32 @@ def test_prepared_problem_refuses_a_map_out_of_another_complex():
                                              "complex's source$"):
             call(ChainMap.zero(l, k))
     assert problem.solve_for(ChainMap.zero(k, k)) == Homotopy.zero(k, k)
+
+
+def test_solve_for_refuses_a_witness_that_fails_re_evaluation(monkeypatch):
+    # f = e at degree 1 is D(h) for h^1 = 1.  A map into another target
+    # with the same ranks reads as the same right-hand side, and a solver
+    # whose witness is off by one in its first entry gives D(h) = 2e: the
+    # re-evaluation refuses both
+    k, l = PerfectComplex.single(Z3E, 1, 1), two_term(Z3E, Z3E.epsilon())
+    problem = NullHomotopyProblem(k, l)
+    e = {1: M(Z3E, [[Z3E.epsilon()]])}
+    f = ChainMap.build(k, l, e)
+    assert problem.solve_for(f) == Homotopy.build(k, l, {1: M(Z3E, [[1]])})
+    message = "^null-homotopy witness failed re-evaluation; solver bug$"
+    with pytest.raises(RuntimeError, match=message):
+        problem.solve_for(ChainMap.build(k, two_term(Z3E, 1), e))
+    solve = LinearSolver.solve
+
+    def off_by_one(self, rhs):
+        rep = solve(self, rhs)
+        x = rep.witness
+        return dataclasses.replace(
+            rep, witness=(x[0] + x[0].ring.one(),) + tuple(x[1:]))
+
+    monkeypatch.setattr(LinearSolver, "solve", off_by_one)
+    with pytest.raises(RuntimeError, match=message):
+        problem.solve_for(f)
 
 
 def brute_null_homotopy_images(src, tgt):

@@ -50,7 +50,7 @@ from chaintrace.ses import (
 from chaintrace.textio import parse_document, ses_file
 from test_complexes import brute_hom_cycles
 from test_homotopy import brute_null_homotopy_images
-from test_ses import change_middle_basis, trace_pairing
+from test_ses import change_middle_basis, trace_pairing, twist_map
 
 RINGS = (RingSpec(4), RingSpec(6), RingSpec(2, True), RingSpec(3, True))
 
@@ -83,13 +83,13 @@ def test_cocycle_twists_are_accepted_and_are_the_boundary(case):
     space = CocycleSpace(k, m)
     for _ in range(3):
         twist = space.sample(rng)
+        assert (twist.source, twist.target) == (m, k.shift(1))
         ses = make_extension(k, m, twist)
-        assert extension_twist(ses) == twist
-        # the stored boundary, and the one a field-by-field copy derives
-        # through the section [0; I] of its block projection
-        delta = ChainMap.build(m, k.shift(1), twist)
-        assert connecting_map(ses) == delta
-        assert connecting_map(dataclasses.replace(ses)) == delta
+        # the twist is read back, is the stored boundary, and is the one a
+        # field-by-field copy derives through the section [0; I] of its
+        # block projection
+        assert (extension_twist(ses) == twist == connecting_map(ses)
+                == connecting_map(dataclasses.replace(ses)))
 
 
 @deterministic
@@ -134,11 +134,12 @@ def test_twists_off_the_cocycles_are_refused(case):
 
     if any(not x.is_zero() for _, x in _hom_d(m, k, 1, block)):
         with pytest.raises(ValueError):
-            make_extension(k, m, twist)
+            make_extension(k, m, twist_map(k, m, twist))
     else:
         # read back with one block per degree of M, empty ones included
-        assert extension_twist(make_extension(k, m, twist)) == {
-            n: block(n) for n in m.degrees()}
+        assert extension_twist(make_extension(k, m, twist_map(
+            k, m, twist))) == ChainMap(m, k.shift(1), tuple(
+                block(n) for n in m.degrees()))
     # one wrong-ring or misshapen block, at any degree, is refused
     n = rng.choice(_twist_window(k, m))
     rows, cols = k.rank(n + 1), m.rank(n)
@@ -148,7 +149,7 @@ def test_twists_off_the_cocycles_are_refused(case):
            Matrix.zero(ring, rows, cols + rng.randrange(1, 3))]
     for block_n in bad:
         with pytest.raises(ValueError):
-            make_extension(k, m, {n: block_n})
+            make_extension(k, m, twist_map(k, m, {n: block_n}))
 
 
 @deterministic

@@ -18,7 +18,7 @@ import pytest
 import chaintrace.search
 import chaintrace.ses as ses_module
 from chaintrace.complexes import (ChainMap, Homotopy, PerfectComplex,
-                                  Validation, _hom_d)
+                                  Validation, _HomMap, _hom_d)
 from chaintrace.generate import random_cocycle, random_complex, random_element
 from chaintrace.homotopy import NullHomotopyProblem, graded_trace, perturb
 from chaintrace.linalg import Matrix
@@ -43,6 +43,7 @@ from chaintrace.ses import (
     validate_ses,
     _SesSystem,
 )
+from test_ses import twist_map
 
 Z2 = RingSpec(2)
 Z3 = RingSpec(3)
@@ -97,7 +98,7 @@ def test_wrap_instance_discards_incomplete_triangles():
     # two visible squares hold, the connecting one fails: not examined
     sub = PerfectComplex.build(Z2, 0, [1, 1])
     quo = PerfectComplex.single(Z2, 0, 1)
-    ses = make_extension(sub, quo, {0: M(Z2, [[1]])})
+    ses = make_extension(sub, quo, twist_map(sub, quo, {0: M(Z2, [[1]])}))
     triple = EndoTriple(ChainMap.zero(sub, sub),
                         ChainMap.zero(ses.middle, ses.middle),
                         ChainMap.identity(quo))
@@ -126,7 +127,7 @@ def test_certify_rejects_zero_defect():
 def test_certify_rejects_failing_connecting_square():
     sub = PerfectComplex.build(Z2, 0, [1, 1])
     quo = PerfectComplex.single(Z2, 0, 1)
-    ses = make_extension(sub, quo, {0: M(Z2, [[1]])})
+    ses = make_extension(sub, quo, twist_map(sub, quo, {0: M(Z2, [[1]])}))
     triple = EndoTriple(ChainMap.zero(sub, sub),
                         ChainMap.zero(ses.middle, ses.middle),
                         ChainMap.identity(quo))
@@ -260,7 +261,7 @@ def test_exhaustive_fast_and_logged_sweeps_agree():
 def test_closed_form_matches_slow_sweep_on_violating_sequence():
     sub = PerfectComplex.build(Z4, 0, [1, 1])
     quo = PerfectComplex.single(Z4, 0, 1)
-    ses = make_extension(sub, quo, {0: M(Z4, [[2]])})
+    ses = make_extension(sub, quo, twist_map(sub, quo, {0: M(Z4, [[2]])}))
     system = _SesSystem(ses)
     fast_ex, fast_vi = system.counts()
     fast_first = system.first_violation()
@@ -444,6 +445,26 @@ def test_each_boundary_and_connecting_problem_is_built_once(monkeypatch):
     boundaries.clear()
     search_violation(SearchConfig(Z4, max_window=3, max_rank=2, trials=60))
     assert len(boundaries) == 60
+
+
+def test_searches_lay_out_every_map_without_build(monkeypatch):
+    # the library lays out the blocks of every map it makes itself (twists,
+    # endos, fillers, witnesses, zero maps), so `build`, which pads and
+    # checks blocks given by degree, is left to parsed files and literals
+    calls = []
+    real = _HomMap.build.__func__
+
+    def counted(cls, *args):
+        calls.append(cls)
+        return real(cls, *args)
+    monkeypatch.setattr(_HomMap, "build", classmethod(counted))
+    for ring in (Z4, Z3E):
+        cfg = SearchConfig(ring, max_window=3, max_rank=2, trials=60, seed=0)
+        assert search_violation(cfg).instances_examined
+    # with its first-violation scan
+    cfg = SearchConfig(Z4, max_window=2, max_rank=1, mode="exhaustive")
+    assert search_violation(cfg).first_violation is not None
+    assert calls == []
 
 
 def test_exhaustive_refuses_huge_ring_before_enumerating():

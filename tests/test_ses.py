@@ -112,11 +112,17 @@ def trace_pairing(ses, report):
     return acc
 
 
+def twist_map(sub, quo, blocks):
+    """The twist with these blocks, by degree of the quotient: the chain
+    map quo -> sub.shift(1) that make_extension takes."""
+    return ChainMap.build(quo, sub.shift(1), blocks)
+
+
 def two_step_extension(ring, x):
     """sub in degree 1, quotient in degree 0, glued by the 1x1 twist [[x]]."""
     sub = PerfectComplex.single(ring, 1, 1)
     quo = PerfectComplex.single(ring, 0, 1)
-    return make_extension(sub, quo, {0: M(ring, [[x]])})
+    return make_extension(sub, quo, twist_map(sub, quo, {0: M(ring, [[x]])}))
 
 
 def test_make_extension_produces_expected_middle():
@@ -133,10 +139,11 @@ def test_make_extension_rejects_bad_twist():
     sub = PerfectComplex.build(Z4, 1, [1, 1], {1: M(Z4, [[2]])})
     quo = PerfectComplex.build(Z4, 0, [1, 1], {0: M(Z4, [[2]])})
     with pytest.raises(ValueError):
-        make_extension(sub, quo, {0: M(Z4, [[1]]), 1: M(Z4, [[0]])})
+        make_extension(sub, quo, twist_map(
+            sub, quo, {0: M(Z4, [[1]]), 1: M(Z4, [[0]])}))
     # and the shape police
     with pytest.raises(ValueError):
-        make_extension(sub, quo, {0: M(Z4, [[1, 1]])})
+        make_extension(sub, quo, twist_map(sub, quo, {0: M(Z4, [[1, 1]])}))
 
 
 @pytest.mark.parametrize("side", ["sub", "quotient"])
@@ -154,21 +161,41 @@ def test_make_extension_refuses_a_foreign_ring_or_an_invalid_complex(side):
 
 
 def test_make_extension_refuses_twist_blocks_outside_the_window():
-    # a twist block far outside both windows used to be dropped silently
+    # a twist block far outside both windows used to be dropped silently;
+    # the twist's builder refuses it
     k = PerfectComplex.single(Z4, 0, 1)
-    with pytest.raises(ValueError, match="twist.*degree 7"):
-        make_extension(k, k, {7: M(Z4, [[1]])})
-    assert make_extension(k, k, {7: Matrix.zero(Z4, 0, 0)}) == \
-        make_extension(k, k)
+    with pytest.raises(ValueError, match="chain map block at degree 7, "
+                                         "outside the window"):
+        make_extension(k, k, twist_map(k, k, {7: M(Z4, [[1]])}))
+    assert make_extension(k, k, twist_map(k, k, {7: Matrix.zero(Z4, 0, 0)})) \
+        == make_extension(k, k)
 
 
 def test_make_extension_refuses_a_twist_block_where_only_the_sub_has_rank():
     # the boundary M -> K[1] has K[1] in degree 0 and M in degree 1 only
     k = PerfectComplex.single(Z4, 1, 1)
     with pytest.raises(ValueError, match=re.escape(
-            "twist is not a boundary map: chain map block at degree 0, "
-            "outside the window, is 1x1 over Z/4, expected 1x0 over Z/4")):
-        make_extension(k, k, {0: M(Z4, [[1]])})
+            "chain map block at degree 0, outside the window, is 1x1 over "
+            "Z/4, expected 1x0 over Z/4")):
+        make_extension(k, k, twist_map(k, k, {0: M(Z4, [[1]])}))
+
+
+def test_make_extension_refuses_a_twist_that_is_not_into_the_shifted_sub():
+    # a twist is a chain map quotient -> sub.shift(1): one into the
+    # unshifted sub, one out of another quotient and one over another
+    # ring are each refused before the middle is glued
+    sub = PerfectComplex.single(Z4, 1, 1)
+    quo = PerfectComplex.single(Z4, 0, 1)
+    z2 = RingSpec(2)
+    twists = (ChainMap.build(quo, sub),
+              twist_map(sub, PerfectComplex.single(Z4, 0, 2),
+                        {0: M(Z4, [[1, 0]])}),
+              twist_map(PerfectComplex.single(z2, 1, 1),
+                        PerfectComplex.single(z2, 0, 1), {0: M(z2, [[1]])}))
+    for twist in twists:
+        with pytest.raises(ValueError, match=re.escape(
+                "twist is not a chain map quotient -> sub.shift(1)")):
+            make_extension(sub, quo, twist)
 
 
 def padded_block_maps(sub, quo, mid):
@@ -433,7 +460,7 @@ def test_cocycle_space_unconstrained_count():
     assert space.count == 4
     twists = list(space.iter_all())
     assert len(twists) == 4
-    seen = {t[0].entry(0, 0).index for t in twists}
+    seen = {t.comp(0).entry(0, 0).index for t in twists}
     assert seen == {0, 1, 2, 3}
     for t in twists:
         assert validate_ses(make_extension(sub, quo, t))
@@ -446,12 +473,13 @@ def test_cocycle_space_constrained_count_matches_brute_force():
     brute = []
     for t0, t1 in itertools.product(range(4), repeat=2):
         try:
-            make_extension(sub, quo, {0: M(Z4, [[t0]]), 1: M(Z4, [[t1]])})
+            make_extension(sub, quo, twist_map(
+                sub, quo, {0: M(Z4, [[t0]]), 1: M(Z4, [[t1]])}))
             brute.append((t0, t1))
         except ValueError:
             pass
     assert space.count == len(brute) == 8
-    got = sorted((t[0].entry(0, 0).index, t[1].entry(0, 0).index)
+    got = sorted((t.comp(0).entry(0, 0).index, t.comp(1).entry(0, 0).index)
                  for t in space.iter_all())
     assert got == sorted(brute)
     for t in space.iter_all():
@@ -533,7 +561,7 @@ def test_connecting_map_fallback_agrees_across_presentations():
     ring = RingSpec(5)
     sub = PerfectComplex.build(ring, 0, [1, 1])
     quo = PerfectComplex.single(ring, 0, 1)
-    ses = make_extension(sub, quo, {0: M(ring, [[1]])})
+    ses = make_extension(sub, quo, twist_map(sub, quo, {0: M(ring, [[1]])}))
     swap = M(ring, [[0, 1], [1, 0]])
     mid2 = PerfectComplex.build(ring, 0, [2, 1],
                                 {0: ses.middle.diff(0) @ swap})
@@ -577,9 +605,8 @@ def middle_off_its_twist():
     D(t) = d_sub t + t d_quo = 2 at degree 0: no complex, no boundary."""
     sub = PerfectComplex.build(Z4, 1, [1, 1], {1: M(Z4, [[2]])})
     quo = PerfectComplex.build(Z4, 0, [1, 1], {0: M(Z4, [[2]])})
-    twist = {0: M(Z4, [[1]]), 1: M(Z4, [[0]])}
-    mid = _twisted_sum(sub, quo, lambda n: twist.get(
-        n, Matrix.zero(Z4, sub.rank(n + 1), quo.rank(n))))
+    twist = twist_map(sub, quo, {0: M(Z4, [[1]]), 1: M(Z4, [[0]])})
+    mid = _twisted_sum(sub, quo, twist.comp)
     ses = ShortExactSequence(sub, mid, quo, *_block_maps(sub, quo, mid))
     return ses, twist
 
@@ -700,7 +727,7 @@ def test_connecting_square_blocks_two_square_impostors_over_a_field():
     # quotient identity riding a contractible glueing
     sub = PerfectComplex.build(ring, 0, [1, 1])
     quo = PerfectComplex.single(ring, 0, 1)
-    ses = make_extension(sub, quo, {0: M(ring, [[1]])})
+    ses = make_extension(sub, quo, twist_map(sub, quo, {0: M(ring, [[1]])}))
     u = ChainMap.zero(sub, sub)
     w = ChainMap.identity(quo)
     rep = check_triple(ses, EndoTriple(
@@ -711,7 +738,8 @@ def test_connecting_square_blocks_two_square_impostors_over_a_field():
 
     # sub identity over a unit twist
     sub2 = PerfectComplex.single(ring, 1, 1)
-    ses2 = make_extension(sub2, quo, {0: M(ring, [[1]])})
+    ses2 = make_extension(sub2, quo,
+                          twist_map(sub2, quo, {0: M(ring, [[1]])}))
     u2 = ChainMap.identity(sub2)
     w2 = ChainMap.zero(quo, quo)
     rep2 = check_triple(ses2, EndoTriple(
