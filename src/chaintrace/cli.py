@@ -185,6 +185,14 @@ def _squares_block(report) -> list[str]:
             f"defect = {report.defect}"]
 
 
+def _print_instance(title: str, ses, triple) -> None:
+    print(title)
+    print()
+    for line in ses_file(ses, triple=triple).rstrip().splitlines():
+        print("  " + line if line else "")
+    print()
+
+
 def _cmd_additivity(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     ses, triple = doc.ses(), doc.triple()
@@ -226,11 +234,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     cert = certify(outcome)
     _, _, report = outcome.first_violation
     print(f"ring {ring}")
-    print("the minimal violating instance:")
-    print()
-    for line in ses_file(ses, triple=triple).rstrip().splitlines():
-        print("  " + line if line else "")
-    print()
+    _print_instance("the minimal violating instance:", ses, triple)
     for line in _squares_block(report):
         print(line)
     print(f"left-square witness: h 1 {format_matrix(witness.comp(1))}")
@@ -286,11 +290,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         return OK
     cert = certify(outcome)
     ses, triple, report = outcome.first_violation
-    print("first violation:")
-    print()
-    for line in ses_file(ses, triple=triple).rstrip().splitlines():
-        print("  " + line if line else "")
-    print()
+    _print_instance("first violation:", ses, triple)
     print(f"defect = {report.defect}")
     print("certified: " + ("yes" if cert else f"NO ({cert.message})"))
     if ring.is_reduced():

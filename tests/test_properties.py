@@ -35,7 +35,7 @@ from chaintrace.rings import RingSpec
 from chaintrace.search import (
     CeilingExceededError,
     SearchConfig,
-    _admitted_complexes,
+    _admitted_systems,
     iter_all_complexes,
 )
 from chaintrace.ses import (
@@ -278,7 +278,7 @@ def test_no_step_of_an_admitted_walk_passes_the_ceiling(ring, window, rank,
                            mode="exhaustive", ceiling=ceiling)
         with pytest.raises(CeilingExceededError,
                            match="complexes in range"):
-            _admitted_complexes(cfg, per_triple=False)
+            _admitted_systems(cfg, per_triple=False)
         return
     # so the walk needs no check: each differential of each complex it
     # lists (as far as the listed-count check lets it) had at most

@@ -17,8 +17,8 @@ import pytest
 
 import chaintrace.search
 import chaintrace.ses as ses_module
-from chaintrace.complexes import (ChainMap, Homotopy, PerfectComplex,
-                                  Validation, _HomMap, _hom_d)
+from chaintrace.complexes import (ChainMap, ChainMapSpace, Homotopy,
+                                  PerfectComplex, Validation, _HomMap, _hom_d)
 from chaintrace.generate import random_cocycle, random_complex, random_element
 from chaintrace.homotopy import NullHomotopyProblem, graded_trace, perturb
 from chaintrace.linalg import Matrix
@@ -405,11 +405,43 @@ def test_closed_form_walks_the_extensions_once(monkeypatch):
     # sweep, and no endo space is factored at all, neither by admission
     # nor by a sequence's system
     extensions = count_calls(monkeypatch, chaintrace.search, "make_extension")
-    spaces = [count_calls(monkeypatch, module, "ChainMapSpace")
-              for module in (chaintrace.search, ses_module)]
+    spaces = count_inits(monkeypatch, ChainMapSpace)
     cfg = SearchConfig(Z3, max_window=2, max_rank=1, mode="exhaustive")
     assert search_violation(cfg) == SearchOutcome(0, None, 20743)
-    assert len(extensions) == 49 and spaces == [[], []]
+    assert len(extensions) == 49 and spaces == []
+
+
+def test_logged_sweep_reads_the_systems_admission_charged(monkeypatch):
+    # Z/2 w2r1: 4 complexes, 22 sequences.  A log charges each sequence
+    # its triples from the endo spaces of its system, and the sweep
+    # visits the triples of those same systems: each sequence is built
+    # once and each of its three endo spaces factored once
+    extensions = count_calls(monkeypatch, chaintrace.search, "make_extension")
+    spaces = count_inits(monkeypatch, ChainMapSpace)
+    lines = []
+    cfg = SearchConfig(Z2, max_window=2, max_rank=1, mode="exhaustive")
+    assert search_violation(cfg, log=lines.append) == SearchOutcome(
+        0, None, 637)
+    assert len(lines) == 6545
+    assert len(extensions) == 22 and len(spaces) == 3 * 22
+    # a refused log still builds no sequence past the one whose charge
+    # passes the ceiling, the 18th of Z/4 w2r1
+    extensions.clear()
+    with pytest.raises(CeilingExceededError,
+                       match=_budget_message(10_000_000, 16_947_859)):
+        search_violation(replace(cfg, ring=Z4), log=lines.append)
+    assert len(extensions) == 18
+
+
+def count_inits(monkeypatch, cls):
+    """Wrap cls.__init__ for the test; the list of argument tuples it saw."""
+    real, calls = cls.__init__, []
+
+    def wrapper(self, *args):
+        calls.append(args)
+        real(self, *args)
+    monkeypatch.setattr(cls, "__init__", wrapper)
+    return calls
 
 
 def count_calls(monkeypatch, module, name):
