@@ -19,6 +19,7 @@ as one line on stderr instead of a traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence, TextIO
 
@@ -323,7 +324,9 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The parser, built on first use and kept for the process."""
     parser = _ArgumentParser(
         prog="chaintrace",
         description="Exact checks on bounded complexes over Z/m and "
@@ -333,29 +336,24 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("validate", help="check every object in a file")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("ses-check",
                        help="check that a three-complex file is exact")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_ses_check)
 
     p = sub.add_parser("trace", help="graded trace of a named endo")
     p.add_argument("file")
     p.add_argument("--endo", required=True, metavar="NAME")
-    p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("homotopy",
                        help="solve f - g = d h + h d for two named endos")
     p.add_argument("file")
     p.add_argument("--from", dest="from_name", required=True, metavar="NAME")
     p.add_argument("--to", dest="to_name", required=True, metavar="NAME")
-    p.set_defaults(func=_cmd_homotopy)
 
     p = sub.add_parser("additivity",
                        help="trace-additivity report for a u/v/w triple")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_additivity)
 
     p = sub.add_parser("counterexample",
                        help="build and re-check the minimal violating "
@@ -363,7 +361,6 @@ def _build_parser() -> _ArgumentParser:
                             "element")
     p.add_argument("--ring", required=True, metavar="SPEC",
                    help="e.g. Z/3[e] or Z/4")
-    p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("search", help="sweep for additivity violations")
     p.add_argument("--ring", required=True, metavar="SPEC")
@@ -380,14 +377,12 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--log", metavar="PATH",
                    help="write one tab-separated record per classified "
                         "triple (index, squares, defect)")
-    p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("bridge",
                        help="compare det(1 + e*a) with 1 + e*tr(a)")
     p.add_argument("--ring", required=True, metavar="SPEC",
                    help="a plain Z/m (the e is added internally)")
     p.add_argument("--matrix", required=True, metavar="[[...]]")
-    p.set_defaults(func=_cmd_bridge)
 
     return parser
 
@@ -400,10 +395,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:   # after printing --help text
             return exc.code
-        if getattr(args, "func", None) is None:
+        if args.command is None:
             parser.print_usage(sys.stderr)
             return USAGE
-        return args.func(args)
+        # looked up per call, so a command rebound in the module is run
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (UsageError, CeilingExceededError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE

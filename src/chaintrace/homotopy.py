@@ -8,7 +8,7 @@ not just up to something negligible.
 Whether a chain map f is null-homotopic is one linear question: is f in
 the image of the differential h -> d h + h d of the Hom complex in
 degree -1?  `NullHomotopyProblem` is that degree of `HomComplex`, whose
-one SNF factorisation per (source, target) pair lets searches test many
+one factorisation per (source, target) pair lets searches test many
 maps cheaply; `find_null_homotopy` is the one-shot wrapper.
 """
 
@@ -72,9 +72,9 @@ class NullHomotopyProblem(HomComplex):
 def find_null_homotopy(f: ChainMap) -> Optional[Homotopy]:
     """A homotopy h with f = d h + h d, or None if there is none.
 
-    The witness is whichever solution SNF back-substitution produces
-    first (reproducible, not canonical), re-checked by evaluation before
-    being returned.
+    The witness is the solution that the elimination mod each prime
+    power of the modulus gives, joined by the CRT (reproducible, not
+    canonical), re-checked by evaluation before being returned.
     """
     check = f.validate()
     if not check:

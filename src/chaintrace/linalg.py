@@ -5,20 +5,22 @@ columns (a map to or from the zero module); such empty matrices behave
 correctly under every operation (det of the 0x0 matrix is 1, trace 0,
 products with an empty middle dimension are zero matrices).
 
-The solver lifts a system over Z/m to the integers and runs Smith normal
-form there.  A system over Z/m[e] is handled by splitting x = x0 + e*x1
-and solving the doubled block system  [[A0, 0], [A1, A0]] [x0; x1] = [b0; b1]
-over Z/m, which is an exact translation of the original problem.  The
-diagonal S stays an exact integer matrix because the pivot choice reads
-it.  The unimodular factors U and V are never built: the elimination
-logs its row and column operations, with multipliers reduced mod m, and
-the solver replays the logs on each right-hand side and each solution.
+The solver lifts a system over Z/m to the integers.  A system over
+Z/m[e] is handled by splitting x = x0 + e*x1 and solving the doubled
+block system  [[A0, 0], [A1, A0]] [x0; x1] = [b0; b1]  over Z/m, which is
+an exact translation of the original problem.  Counts and solutions come
+from eliminating the lift mod each prime power p^k of m with a pivot of
+least p-valuation, so no entry reaches p^k (Storjohann & Mulders, ESA
+1998), joined by the CRT; random and enumerated solutions come from its
+Smith normal form over the integers.  Neither builds U and V: each logs
+its row and column operations, and queries replay the logs.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
 from random import Random
 from typing import Iterable, Iterator, Optional, Sequence
@@ -386,6 +388,88 @@ def _smith_log(
 
 
 # ---------------------------------------------------------------------------
+# Elimination mod a prime power
+# ---------------------------------------------------------------------------
+
+
+def _local_log(a: Sequence[Sequence[int]], q: int
+               ) -> int | tuple[list[int], list[int], list[tuple[int, int]]]:
+    """Eliminate a mod q, a prime power p^k or a product of two primes:
+    (row_ops, col_ops, pivots) with U*a*V diagonal mod q, the logs in
+    _smith_log's format and each pivot s_i kept as (g_i, h_i), g_i =
+    gcd(s_i, q) and h_i the inverse of s_i / g_i mod q, all in [0, q).
+    The pivot is the first entry of least gcd with q in row-major order:
+    mod p^k one of least p-valuation, which divides its row and column, so
+    one step clears each entry; the column steps change only the pivot
+    row, so they are logged, not applied.  Mod pq the first nonunit
+    pivot's gcd g splits q, and g is returned instead."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    s = [[x % q for x in r] for r in a]
+    row_ops: list[int] = []
+    col_ops: list[int] = []
+    pivots: list[tuple[int, int]] = []
+    for t in range(min(rows, cols)):
+        g, piv = q, None
+        for i, r in enumerate(s[t:], t):
+            for j in range(t, cols):
+                if r[j] and gcd(r[j], q) < g:
+                    g, piv = gcd(r[j], q), (i, j)
+                    if g == 1:
+                        break
+            if g == 1:
+                break
+        if piv is None:
+            break
+        if g > 1 and gcd(g, q // g) == 1:
+            return g        # not a prime power: g and q // g are primes
+        pi, pj = piv
+        if pi != t:
+            s[pi], s[t] = s[t], s[pi]
+            row_ops += (pi, t, 0)
+        if pj != t:
+            for r in s[t:]:
+                r[pj], r[t] = r[t], r[pj]
+            col_ops += (pj, t, 0)
+        h = pow(s[t][t] // g, -1, q)
+        tail = [(j, x) for j, x in enumerate(s[t]) if j > t and x]
+        for i in range(t + 1, rows):
+            r = s[i]
+            if r[t]:
+                f = r[t] // g * h % q
+                for j, x in tail:
+                    r[j] = (r[j] - f * x) % q
+                row_ops += (i, t, f)
+        for j, x in tail:
+            col_ops += (j, t, x // g * h % q)
+        pivots.append((g, h))
+    return row_ops, col_ops, pivots
+
+
+def _replay_rows(ops: list[int], v: list[int], q: int) -> list[int]:
+    """U v mod q, by replaying the row log ops on v in place."""
+    if not any(v):
+        return v
+    it = iter(ops)
+    for i, t, f in zip(it, it, it):
+        if f:
+            v[i] = (v[i] - f * v[t]) % q
+        else:
+            v[i], v[t] = v[t], v[i]
+    return v
+
+
+def _replay_cols(ops: list[int], y: list[int], q: int) -> list[int]:
+    """V y mod q, by replaying the column log ops backwards on y in place."""
+    it = reversed(ops)
+    for f, t, j in zip(it, it, it):
+        if f:
+            y[t] = (y[t] - f * y[j]) % q
+        else:
+            y[j], y[t] = y[t], y[j]
+    return y
+
+
+# ---------------------------------------------------------------------------
 # Linear systems A x = b over the ring
 # ---------------------------------------------------------------------------
 
@@ -401,55 +485,80 @@ class SolutionReport:
 
 
 class LinearSolver:
-    """Factor a matrix once, then answer many right-hand sides.
+    """Factor a matrix on first use, then answer many right-hand sides.
 
-    Everything reduces to integer SNF of a lift of the matrix: for Z/m the
-    lift is the matrix itself; for Z/m[e] it is the doubled block system
-    described in the module docstring.  With U*lift*V = S and c = U b, the
-    diagonal equation s_i y_i = c_i (mod m) is solvable iff gcd(s_i, m)
-    divides c_i and then has exactly gcd(s_i, m) solutions; rows past the
-    diagonal need c_i = 0, and columns past it are free (factor m each).
+    Both eliminations factor one integer lift of the matrix (the module
+    docstring has it) as U*lift*V = S diagonal mod some q, keeping U and V
+    as operation logs that a query replays on its own vector.  With c = U
+    b, s_i y_i = c_i (mod q) is solvable iff g_i = gcd(s_i, q) divides
+    c_i, and then has exactly g_i solutions; rows past the diagonal need
+    c_i = 0, and columns past it are free (factor q each).
 
-    U and V are never built: the elimination keeps its row and column
-    operations as two logs, with multipliers reduced mod m, and each query
-    replays them on its own vector (U b forward, V y in reverse), so every
-    integer kept here lies in [0, m).  kernel_count reads only the
-    diagonal.  S itself is eliminated exactly, which fixes the pivots and
-    so the witnesses and the samples drawn.  The pivot is always the first
-    least-magnitude entry of the working block in row-major order; the
-    early exits at a unit pivot keep that rule, so they move no witness and
-    no sample.
+    kernel_count, image_count, solve, coset_key and is_solvable eliminate
+    mod each prime power q of m (_local_log) and join solutions by the
+    CRT.  sample_solution and iter_solutions replay the integer Smith log
+    (_smith_log, q = m), whose exact S fixes the samples drawn and the
+    enumeration order.  Each elimination runs at the first query that
+    needs it: a solver only drawn from never counts, and one only counted
+    or solved never eliminates over the integers.
     """
 
     def __init__(self, mat: Matrix):
-        self.ring = mat.ring
-        self.mat = mat
-        m = self.ring.modulus
-        self._m = m
-        eps = self.ring.has_epsilon
-        self._eps = eps
-        r, c = mat.rows, mat.cols
-        rows = [mat.entries[i * c:(i + 1) * c] for i in range(r)]
+        self.ring, self.mat = mat.ring, mat
+        self._m = self.ring.modulus
+        self._eps = self.ring.has_epsilon
+        width = 2 if self._eps else 1
+        self._n_eq, self._n_var = width * mat.rows, width * mat.cols
+
+    def _lift(self) -> list[list[int]]:
+        c = self.mat.cols
+        rows = [self.mat.entries[i * c:(i + 1) * c]
+                for i in range(self.mat.rows)]
         lift = [[x.a for x in row] for row in rows]
-        if eps:
+        if self._eps:
             # the doubled block system [[A0, 0], [A1, A0]]
             lift = ([row + [0] * c for row in lift]
                     + [[x.b for x in row] + row0
                        for row, row0 in zip(rows, lift)])
-        self._n_eq, self._n_var = len(lift), (2 if eps else 1) * c
-        s, self._row_ops, self._col_ops = _smith_log(lift, m)
-        k = min(self._n_eq, self._n_var)
-        # s_i mod m keeps gcd(s_i, m) and (s_i / g) mod (m / g) exact
-        self._diag = [s[i][i] % m for i in range(k)]
-        self._gs = [gcd(d, m) for d in self._diag]
-        # one gcd per equation row: rows past the diagonal demand c_i = 0
-        self._row_gs = self._gs + [m] * (self._n_eq - k)
-        self.kernel_count = prod(self._gs, start=1) * m ** (self._n_var - k)
+        return lift
+
+    @cached_property
+    def _local(self) -> list[tuple[int, int, list[int], list[int],
+                                   list[tuple[int, int]]]]:
+        """(q, e, row log, column log, pivots) of the lift eliminated mod
+        each prime power q of m, where e = 1 mod q and 0 mod m / q."""
+        m, lift, out = self._m, self._lift(), []
+        todo = [p ** v for p, v in self.ring._prime_powers]
+        for q in todo:                  # a split appends its two primes
+            got = _local_log(lift, q)
+            if isinstance(got, int):
+                todo += (got, q // got)
+            else:
+                out.append((q, m // q * pow(m // q, -1, q) % m, *got))
+        return out
+
+    @cached_property
+    def kernel_count(self) -> int:
+        """Exact size of the kernel, a product over the prime powers."""
+        return prod(prod(g for g, _ in piv) * q ** (self._n_var - len(piv))
+                    for q, _, _, _, piv in self._local)
 
     @property
     def image_count(self) -> int:
         """Exact size of the image, via |domain| = kernel * image."""
         return self.ring.cardinality ** self.mat.cols // self.kernel_count
+
+    def _integer_log(self) -> None:
+        """Run the integer Smith elimination, once, for the first draw."""
+        if hasattr(self, "_row_gs"):
+            return
+        m, k = self._m, min(self._n_eq, self._n_var)
+        s, self._row_ops, self._col_ops = _smith_log(self._lift(), m)
+        # s_i mod m keeps gcd(s_i, m) and (s_i / g) mod (m / g) exact
+        self._diag = [s[i][i] % m for i in range(k)]
+        self._gs = [gcd(d, m) for d in self._diag]
+        # one gcd per equation row: rows past the diagonal demand c_i = 0
+        self._row_gs = self._gs + [m] * (self._n_eq - k)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -464,17 +573,8 @@ class LinearSolver:
         return [x.a for x in b]
 
     def _transform(self, rhs: list[int]) -> list[int]:
-        """U b mod m, by replaying the row log on rhs in place."""
-        if not any(rhs):
-            return rhs
-        m = self._m
-        ops = iter(self._row_ops)
-        for i, t, q in zip(ops, ops, ops):
-            if q:
-                rhs[i] = (rhs[i] - q * rhs[t]) % m
-            else:
-                rhs[i], rhs[t] = rhs[t], rhs[i]
-        return rhs
+        """U b mod m for the integer log's U, in place."""
+        return _replay_rows(self._row_ops, rhs, self._m)
 
     def _particular_y(self, c: list[int]) -> Optional[list[int]]:
         m = self._m
@@ -491,20 +591,16 @@ class LinearSolver:
         return y
 
     def _y_to_elems(self, y: list[int]) -> tuple[RingElem, ...]:
-        """The elements of V y, by replaying the column log backwards on y
-        in place; y is reduced mod m."""
-        m = self._m
-        ops = reversed(self._col_ops)
-        for q, t, i in zip(ops, ops, ops):
-            if q:
-                y[t] = (y[t] - q * y[i]) % m
-            else:
-                y[i], y[t] = y[t], y[i]
+        """The elements of V y for the integer log's V; y is reduced mod m
+        in place."""
+        return self._elems(_replay_cols(self._col_ops, y, self._m))
+
+    def _elems(self, x: list[int]) -> tuple[RingElem, ...]:
         cols = self.mat.cols
         if self._eps:
-            return tuple(RingElem(self.ring, y[j], y[cols + j])
+            return tuple(RingElem(self.ring, x[j], x[cols + j])
                          for j in range(cols))
-        return tuple(RingElem(self.ring, y[j]) for j in range(cols))
+        return tuple(RingElem(self.ring, x[j]) for j in range(cols))
 
     # -- queries -----------------------------------------------------------
 
@@ -512,22 +608,35 @@ class LinearSolver:
         return not any(self.coset_key(b))
 
     def solve(self, b: Sequence[RingElem]) -> SolutionReport:
-        c = self._transform(self._rhs_ints(b))
-        y = self._particular_y(c)
-        if y is None:
-            return SolutionReport(False, None, 0)
-        return SolutionReport(True, self._y_to_elems(y), self.kernel_count)
+        """Solvability, a witness (valid, not canonical) and the count."""
+        rhs, x = self._rhs_ints(b), [0] * self._n_var
+        for q, e, row_ops, col_ops, piv in self._local:
+            c = _replay_rows(row_ops, [v % q for v in rhs], q)
+            if any(c[len(piv):]) or any(ci % g for ci, (g, _) in
+                                        zip(c, piv)):
+                return SolutionReport(False, None, 0)
+            y = [ci // g * h % q for ci, (g, h) in zip(c, piv)]
+            y += [0] * (self._n_var - len(piv))
+            x = [(xi + e * yi) % self._m
+                 for xi, yi in zip(x, _replay_cols(col_ops, y, q))]
+        return SolutionReport(True, self._elems(x), self.kernel_count)
 
     def coset_key(self, b: Sequence[RingElem]) -> tuple[int, ...]:
         """Complete invariant of b modulo the image of the matrix: two
         right-hand sides get the same key iff they differ by something
-        solvable.  The all-zero key means b itself is solvable."""
-        c = self._transform(self._rhs_ints(b))
-        return tuple(ci % g for ci, g in zip(c, self._row_gs))
+        solvable.  The all-zero key means b itself is solvable.  The key
+        is U b mod q per prime power q, each c_i reduced mod g_i; its
+        values are not canonical."""
+        rhs, key = self._rhs_ints(b), []
+        for q, _, row_ops, _, piv in self._local:
+            c = _replay_rows(row_ops, [v % q for v in rhs], q)
+            key += [ci % g for ci, (g, _) in zip(c, piv)] + c[len(piv):]
+        return tuple(key)
 
     def sample_solution(self, b: Sequence[RingElem],
                         rng: Random) -> Optional[tuple[RingElem, ...]]:
         """Uniformly random solution, or None when unsolvable."""
+        self._integer_log()
         c = self._transform(self._rhs_ints(b))
         y = self._particular_y(c)
         if y is None:
@@ -542,9 +651,11 @@ class LinearSolver:
     def iter_solutions(
         self, b: Sequence[RingElem]
     ) -> Iterator[tuple[RingElem, ...]]:
-        """All solutions, deterministically ordered; the first one yielded
-        is the same witness solve() reports.  Caller is responsible for
-        keeping the solution count within reach."""
+        """All solutions, deterministically ordered by the integer log;
+        the first one yielded is its particular solution, which is in
+        general not solve()'s witness.  Caller is responsible for keeping
+        the solution count within reach."""
+        self._integer_log()
         c = self._transform(self._rhs_ints(b))
         base = self._particular_y(c)
         if base is None:
@@ -558,4 +669,3 @@ class LinearSolver:
             y = [(base[i] + offs[i] * steps[i]) % m
                  for i in range(self._n_var)]
             yield self._y_to_elems(y)
-

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterator, Optional
 
 
@@ -17,23 +17,24 @@ class RingMismatchError(ValueError):
     """Operands belong to different rings."""
 
 
-def _least_square_zero(m: int) -> int:
-    """The least x > 0 with x^2 = 0 mod m: the product of p^ceil(v/2) over
-    the prime powers p^v dividing m.  Trial division stops at the cube
-    root of the cofactor left over, which then has at most two prime
-    factors: it is 1, p, p^2 or pq, and only p^2 (a square) gives less
-    than itself, namely p."""
-    x, d = 1, 2
+def _factor(m: int) -> tuple[tuple[int, int], ...]:
+    """m as (base, exponent) pairs with coprime bases, found by trial
+    division.  It stops at the cube root of the cofactor left over, which
+    then has at most two prime factors: it is 1, p, p^2 (found by isqrt
+    and listed as (p, 2)) or pq.  p and pq are listed as (cofactor, 1), so
+    the last base may be a product of two primes, squarefree either way."""
+    out, d = [], 2
     while d * d * d <= m:
         if m % d == 0:
             v = 0
             while m % d == 0:
                 m //= d
                 v += 1
-            x *= d ** ((v + 1) // 2)
+            out.append((d, v))
         d += 1
-    r = isqrt(m)
-    return x * (r if r * r == m else m)
+    if m > 1:
+        out.append((isqrt(m), 2) if isqrt(m) ** 2 == m else (m, 1))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,11 @@ class RingSpec:
     @cached_property
     def _one(self) -> "RingElem":
         return RingElem(self, 1, 0)
+
+    @cached_property
+    def _prime_powers(self) -> tuple[tuple[int, int], ...]:
+        """The modulus as `_factor` splits it, factored once per ring."""
+        return _factor(self.modulus)
 
     def epsilon(self) -> "RingElem":
         if not self.has_epsilon:
@@ -110,7 +116,8 @@ class RingSpec:
         """
         if self.has_epsilon:
             return self.epsilon()
-        x = _least_square_zero(self.modulus)
+        # p^v gives p^ceil(v/2); a squarefree base gives itself
+        x = prod(p ** ((v + 1) // 2) for p, v in self._prime_powers)
         if x == self.modulus:
             return None
         return self.element(x)

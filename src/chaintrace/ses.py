@@ -5,7 +5,7 @@ quotient complex joined by an inclusion and a projection that are exact
 degree by degree.  Exactness is certified by counting: the inclusion must
 have trivial kernel and the projection must be onto, which with ranks that
 add up and a zero composite makes the middle exact.  The counts come from
-the shared SNF solver, so the verdicts are exact.
+the shared solver, so the verdicts are exact.
 
 The other half of the module measures endomorphism triples (one endo per
 complex) against such a sequence: do its three squares commute, strictly
@@ -136,18 +136,22 @@ def validate_ses(ses: ShortExactSequence) -> Validation:
     return _VALID
 
 
-def _solve_columns(mat: Matrix, rhs: Matrix, failure: str) -> Matrix:
+def _solve_columns(mat: Matrix, rhs: Matrix, failure: str,
+                   first: bool = False) -> Matrix:
     """The matrix X with mat @ X = rhs, solved column by column through
-    one factorisation of `mat`; ValueError(failure) when some column of
-    rhs has no preimage, RuntimeError when the solver's answer fails
-    mat @ X = rhs."""
+    one factorisation of `mat`: each column is solve's witness or, with
+    `first`, the first solution iter_solutions yields.  ValueError(failure)
+    when some column of rhs has no preimage, RuntimeError when the
+    solver's answer fails mat @ X = rhs."""
     solver = LinearSolver(mat)
     cols: list[tuple[RingElem, ...]] = []
     for c in range(rhs.cols):
-        rep = solver.solve([rhs.entry(r, c) for r in range(rhs.rows)])
-        if not rep.solvable:
+        b = [rhs.entry(r, c) for r in range(rhs.rows)]
+        x = (next(solver.iter_solutions(b), None) if first
+             else solver.solve(b).witness)
+        if x is None:
             raise ValueError(failure)
-        cols.append(rep.witness)
+        cols.append(x)
     x = Matrix(mat.ring, mat.cols, rhs.cols,
                tuple(cols[c][r] for r in range(mat.cols)
                      for c in range(rhs.cols)))
@@ -161,8 +165,10 @@ def find_section(ses: ShortExactSequence) -> dict[int, Matrix]:
 
     Returns one matrix per degree where the quotient has positive rank,
     with projection @ section = identity there.  The section is a module
-    map only, not a chain map in general.  Raises ValueError when some
-    column has no preimage (i.e. the projection is not onto).
+    map only, not a chain map in general.  Each column is the first of
+    iter_solutions, so the section and the boundary derived from it do not
+    move with solve's witnesses.  Raises ValueError when some column has
+    no preimage (i.e. the projection is not onto).
     """
     out: dict[int, Matrix] = {}
     for n in ses.quotient.degrees():
@@ -170,7 +176,8 @@ def find_section(ses: ShortExactSequence) -> dict[int, Matrix]:
         if rq:
             out[n] = _solve_columns(
                 ses.projection.comp(n), Matrix.identity(ses.ring, rq),
-                f"projection misses a basis vector at degree {n}")
+                f"projection misses a basis vector at degree {n}",
+                first=True)
     return out
 
 

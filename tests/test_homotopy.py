@@ -17,8 +17,10 @@ from chaintrace.homotopy import (
     graded_trace,
     perturb,
 )
+from chaintrace.generate import random_cocycle, random_matrix
 from chaintrace.linalg import LinearSolver, Matrix
 from chaintrace.rings import RingSpec
+from chaintrace.ses import make_extension
 
 Z4 = RingSpec(4)
 Z5 = RingSpec(5)
@@ -229,3 +231,34 @@ def test_prepared_problem_matches_one_shot():
         assert (a is None) == (b is None)
         if a is not None:
             assert perturb(ChainMap.zero(l, l), a) == f
+
+
+def _complex_with_ranks(rng, ring, ranks):
+    """A random complex with these ranks from degree 0, each differential
+    drawn from the left kernel of the one before."""
+    diffs, prev = {}, None
+    for i in range(len(ranks) - 1):
+        rows, cols = ranks[i + 1], ranks[i]
+        if prev is None:
+            d = random_matrix(rng, ring, rows, cols)
+        else:
+            solver = LinearSolver(prev.transpose())
+            zero = [ring.zero()] * prev.cols
+            d = Matrix(ring, rows, cols, tuple(
+                x for _ in range(rows)
+                for x in solver.sample_solution(zero, rng)))
+        diffs[i] = prev = d
+    return PerfectComplex.build(ring, 0, ranks, diffs)
+
+
+def test_homotopy_on_a_six_by_six_middle_finishes():
+    # a (6, 6, 6) middle over Z/4[e]: the integer Smith elimination of
+    # its null-homotopy system ran for minutes
+    ring = RingSpec(4, True)
+    rng = random.Random("(3, 3, 3)+(3, 3, 3)")
+    sub, quo = (_complex_with_ranks(rng, ring, (3, 3, 3)) for _ in range(2))
+    ses = make_extension(sub, quo, random_cocycle(rng, sub, quo))
+    v = ChainMap.identity(ses.middle)
+    v2 = perturb(v, random_homotopy(rng, v.source, v.target))
+    h = are_homotopic(v, v2)
+    assert h is not None and perturb(v2, h) == v

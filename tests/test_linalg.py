@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaintrace.complexes import HomComplex
-from chaintrace.generate import random_complex
+from chaintrace.generate import random_complex, random_extension
 from chaintrace.linalg import LinearSolver, Matrix, ShapeError, _smith_log
 from chaintrace.rings import RingMismatchError, RingSpec
+from chaintrace.ses import _SesSystem
 
 Z4 = RingSpec(4)
 Z5 = RingSpec(5)
@@ -474,13 +475,22 @@ def test_solver_keeps_entries_below_modulus():
     for a in cases:
         solver = LinearSolver(a)
         m = a.ring.modulus
-        # the multipliers of both logs (a 0 marks a swap) and the diagonal
-        kept = solver._row_ops[2::3] + solver._col_ops[2::3] + solver._diag
-        assert all(0 <= x < m for x in kept)
         x = [a.ring.from_index(rng.randrange(a.ring.cardinality))
              for _ in range(a.cols)]
         b = a.apply(x)
         assert a.apply(list(solver.solve(b).witness)) == b
+        # per prime power q: the multipliers of both logs (a 0 marks a
+        # swap), each pivot's gcd and inverse, and the CRT coefficient
+        for q, e, row_ops, col_ops, pivots in solver._local:
+            kept = row_ops[2::3] + col_ops[2::3] + [y for p in pivots
+                                                    for y in p]
+            assert m % q == 0 and 0 <= e < m
+            assert all(0 <= y < q for y in kept)
+        # the integer log, run by the first draw: the same for its
+        # multipliers and its diagonal mod m
+        assert a.apply(list(solver.sample_solution(b, rng))) == b
+        kept = solver._row_ops[2::3] + solver._col_ops[2::3] + solver._diag
+        assert all(0 <= y < m for y in kept)
 
 
 def _solver_lift(mat):
@@ -554,9 +564,16 @@ def _cross_check_systems(rng):
                 yield HomComplex(source, target, k).solver.mat
 
 
+def _reference_solvable(slow, b):
+    """Solvability by the dense integer SNF: a first enumerated solution."""
+    return next(slow.iter_solutions(b), None) is not None
+
+
 def test_solver_matches_the_dense_reference():
-    # the operation logs give the dense factors' counts, witnesses, coset
-    # keys, samples and solution order on every system and right-hand side
+    # the solver gives the dense factors' counts and solvability, valid
+    # witnesses and coset keys that are equal exactly on solvable
+    # differences, and the dense factors' samples and solution order, on
+    # every system and right-hand side
     rng = random.Random(19)
     for a in _cross_check_systems(rng):
         fast, slow = LinearSolver(a), _DenseSolver(a)
@@ -567,12 +584,17 @@ def test_solver_matches_the_dense_reference():
              for _ in range(a.cols)]
         b_any = [ring.from_index(rng.randrange(ring.cardinality))
                  for _ in range(a.rows)]
-        for b in ([ring.zero()] * a.rows, a.apply(x), b_any):
+        rhs = ([ring.zero()] * a.rows, a.apply(x), b_any)
+        for b in rhs:
             report = fast.solve(b)
-            assert report == slow.solve(b)
+            assert report.solvable == _reference_solvable(slow, b)
             if report.solvable:
                 assert a.apply(list(report.witness)) == b
-            assert fast.coset_key(b) == slow.coset_key(b)
+                assert report.solution_count == slow.kernel_count
+            for b2 in rhs:
+                diff = [y - z for y, z in zip(b, b2)]
+                assert (fast.coset_key(b) == fast.coset_key(b2)) == \
+                    _reference_solvable(slow, diff)
             seed = rng.randrange(2 ** 32)
             assert fast.sample_solution(b, random.Random(seed)) == \
                 slow.sample_solution(b, random.Random(seed))
@@ -655,9 +677,8 @@ def test_iter_solutions_complete_and_ordered():
             assert sorted(x.index for s in got for x in s) == \
                 sorted(x.index for s in expect for x in s)
             assert len(got) == len(set(got)) == len(expect)
-            rep = LinearSolver(a).solve(b)
             if got:
-                assert got[0] == rep.witness
+                assert got[0] == next(_DenseSolver(a).iter_solutions(b))
 
 
 def test_sample_solution_always_solves():
@@ -719,3 +740,96 @@ def test_matrix_refusals_name_their_cause():
     for make, kind, message in cases:
         with pytest.raises(kind, match=f"^{re.escape(message)}$"):
             make()
+
+
+# -- elimination mod prime powers ----------------------------------------------
+
+LOCAL_RINGS = (Z4, Z6, RingSpec(8), Z9, RingSpec(12), Z2E, Z3E, Z4E, Z9E)
+
+
+def _unit_poor_matrix(rng, ring, rows, cols):
+    """A random matrix whose entries are multiples of one random divisor
+    of the modulus, so its pivots have positive valuation."""
+    m = ring.modulus
+    d = rng.choice([x for x in range(1, m) if m % x == 0])
+    return Matrix(ring, rows, cols, tuple(
+        ring.element(d * rng.randrange(m), rng.randrange(m)
+                     if ring.has_epsilon else 0)
+        for _ in range(rows * cols)))
+
+
+def _local_oracle_systems(rng):
+    for ring in LOCAL_RINGS:
+        for _ in range(8):
+            shape = rng.randrange(0, 5), rng.randrange(0, 5)
+            yield random_matrix(rng, ring, *shape)
+            yield _unit_poor_matrix(rng, ring, *shape)
+    yield from _cross_check_systems(rng)
+
+
+def test_prime_power_elimination_matches_the_references():
+    # counts equal the integer SNF's; solve is solvable exactly when the
+    # integer SNF is, with a witness of A x = b; equal coset keys mark
+    # exactly the solvable differences; brute force agrees on small systems
+    rng = random.Random(31)
+    for a in _local_oracle_systems(rng):
+        fast, slow = LinearSolver(a), _DenseSolver(a)
+        assert (fast.kernel_count, fast.image_count) == \
+            (slow.kernel_count, slow.image_count)
+        ring = a.ring
+        x = [ring.from_index(rng.randrange(ring.cardinality))
+             for _ in range(a.cols)]
+        rhs = [a.apply(x)] + [
+            [ring.from_index(rng.randrange(ring.cardinality))
+             for _ in range(a.rows)] for _ in range(3)]
+        small = ring.cardinality ** a.cols <= 1000
+        for b in rhs:
+            report = fast.solve(b)
+            assert report.solvable == _reference_solvable(slow, b)
+            assert report.solution_count == \
+                (slow.kernel_count if report.solvable else 0)
+            if report.solvable:
+                assert a.apply(list(report.witness)) == b
+            if small:
+                assert report.solution_count == len(brute_solutions(a, b))
+            for b2 in rhs:
+                diff = [y - z for y, z in zip(b, b2)]
+                assert (fast.coset_key(b) == fast.coset_key(b2)) == \
+                    _reference_solvable(slow, diff) == fast.is_solvable(diff)
+
+
+def test_transposed_counts_on_systems_the_integer_snf_cannot_finish():
+    # the 56 x 66 and 57 x 66 Z/4[e] systems of a sequence's closed-form
+    # count: |ker A^T| |R|^cols = |R|^rows |ker A| (|im A^T| = |im A|)
+    ses = random_extension(random.Random("s:7"), Z4E, max_window=3,
+                           max_rank=2)
+    full = _SesSystem(ses).matrix()
+    b = Matrix(Z4E, full.rows - 1, full.cols,
+               full.entries[:(full.rows - 1) * full.cols])
+    assert (b.rows, full.rows, full.cols) == (56, 57, 66)
+    card = Z4E.cardinality
+    for a in (b, full):
+        assert kernel_count(a.transpose()) * card ** a.cols == \
+            card ** a.rows * kernel_count(a)
+
+
+@pytest.mark.parametrize("p, q", [(2 ** 64 - 59, 1),
+                                  (2 ** 32 - 5, 2 ** 32 - 17),
+                                  (2 ** 32 - 5, 2 ** 32 - 5)])
+def test_counts_and_solves_finish_on_large_moduli(p, q):
+    # trial division stops at the cube root, so a prime near 2^64, a
+    # product of two primes near 2^32 and the square of one all factor
+    # at once; a pivot that is a nonzero nonunit splits p*q
+    ring = RingSpec(p * q)
+    assert kernel_count(M(ring, [[p, 0], [0, q]])) == p * q
+    assert kernel_count(M(ring, [[p * q - 1, p]])) == p * q
+    rng = random.Random(p)
+    for a in (random_matrix(rng, ring, 3, 4),
+              M(ring, [[p + q, p, 0], [0, p, 0], [q, 0, q]])):
+        card = ring.cardinality
+        assert card ** a.cols == kernel_count(a) * image_count(a)
+        assert kernel_count(a.transpose()) * card ** a.cols == \
+            card ** a.rows * kernel_count(a)
+        x = [ring.element(rng.randrange(p * q)) for _ in range(a.cols)]
+        b = a.apply(x)
+        assert a.apply(list(solve(a, b).witness)) == b

@@ -5,10 +5,12 @@ import re
 
 import pytest
 
+import chaintrace.linalg as linalg_module
 import chaintrace.ses as ses_module
 from chaintrace.complexes import (
     ChainMap,
     ChainMapSpace,
+    HomComplex,
     PerfectComplex,
     _twisted_sum,
 )
@@ -16,6 +18,7 @@ from chaintrace.generate import (
     random_chain_endo,
     random_complex,
     random_extension,
+    random_homotopy,
     random_strict_triple,
 )
 from chaintrace.homotopy import (
@@ -834,3 +837,54 @@ def test_connecting_square_matches_shifted_composite():
                 assert connecting_square(ses, u, w) == want, ring
                 held += want.holds
         assert held, ring
+
+
+def test_counting_and_solving_never_run_the_integer_elimination(
+        monkeypatch):
+    # the integer Smith log serves draws only: exactness, closed-form
+    # counts, squares, null homotopies and Hom counts eliminate mod prime
+    # powers, and a solver runs the integer log once, at its first draw
+    smith_log, calls = linalg_module._smith_log, []
+
+    def counted(*args):
+        calls.append(args)
+        return smith_log(*args)
+
+    rng = random.Random(12)
+    cases = []
+    for ring in SIGNED_RINGS:
+        ses = random_extension(rng, ring, max_window=3, max_rank=2)
+        strict = random_strict_triple(rng, ses)
+        moved = EndoTriple(*(
+            perturb(f, random_homotopy(rng, f.source, f.target))
+            for f in (strict.on_sub, strict.on_middle, strict.on_quotient)))
+        loose = EndoTriple(*(random_chain_endo(rng, k) for k in
+                             (ses.sub, ses.middle, ses.quotient)))
+        null = moved.on_middle - strict.on_middle
+        cases.append((ses, (strict, moved, loose),
+                      (null, loose.on_middle)))
+    monkeypatch.setattr(linalg_module, "_smith_log", counted)
+    for ses, triples, maps in cases:
+        assert validate_ses(ses)
+        _SesSystem(ses).counts()
+        for triple in triples:
+            check_triple(ses, triple)
+        assert find_null_homotopy(maps[0]) is not None
+        find_null_homotopy(maps[1])
+        for k in (-1, 0, 1):
+            assert HomComplex(ses.middle, ses.quotient, k).count >= 1
+    assert calls == []
+    space = ChainMapSpace(cases[0][0].middle, cases[0][0].middle)
+    space.sample(rng)
+    assert len(calls) == 1
+    space.sample(rng)
+    assert len(calls) == 1
+
+
+def test_closed_form_counts_finish_where_the_integer_snf_stalled():
+    # the 57 x 66 system of this Z/4[e] sequence did not factor in 15
+    # minutes by Smith elimination over the integers
+    ses = random_extension(random.Random("s:7"), RingSpec(4, True),
+                           max_window=3, max_rank=2)
+    examined, violations = _SesSystem(ses).counts()
+    assert 0 <= violations <= examined
