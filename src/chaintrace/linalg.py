@@ -303,10 +303,6 @@ def _smith_log(
         for j in range(cols):
             si[j] -= q * st[j]
 
-    def col_sub(j, t, q):
-        for r in s:
-            r[j] -= q * r[t]
-
     def col_swap(j, t):
         for r in s:
             r[j], r[t] = r[t], r[j]
@@ -355,8 +351,9 @@ def _smith_log(
             moved = False
             for j in range(cols):
                 if j != t and s[t][j]:
+                    # column t is zero off the pivot: only s[t][j] changes
                     q = s[t][j] // s[t][t]
-                    col_sub(j, t, q)
+                    s[t][j] -= q * s[t][t]
                     log_sub(col_ops, j, t, q)
                     if s[t][j]:
                         col_swap(j, t)

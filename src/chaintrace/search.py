@@ -27,9 +27,9 @@ block-triangular middle endo, and the leftover middle discrepancy is
 square-zero on cohomology, hence traceless over a field) — while the
 classic square-zero-twist instance still sails through all three
 squares with a nonzero defect.  That asymmetry is the whole point.
-Every mode reads the verdict off one `AdditivityReport` per triple
-(ses.check_triple): examined is its `squares_hold`, a violation its
-`is_violation`.
+Verdicts are those of the triple's `AdditivityReport` (ses.check_triple):
+examined is `squares_hold`, a violation `is_violation`.  Unlogged, a
+randomized trial stops at its first failing square (see search_violation).
 
 Exhaustive mode walks complexes (windows anchored at degree 0 —
 traces are blind to shifts) and twists, one system per sequence, and
@@ -54,9 +54,11 @@ from .complexes import (
     _VALID,
 )
 from .generate import random_extension
+from .homotopy import graded_trace
 from .linalg import LinearSolver, Matrix
 from .rings import RingSpec
 from .ses import (
+    AdditivityReport,
     CocycleSpace,
     EndoTriple,
     ShortExactSequence,
@@ -226,8 +228,7 @@ def _tally(classified: Iterable[Violation],
     first: Optional[Violation] = None
     for index, (ses, triple, report) in enumerate(classified):
         if log is not None:
-            log(f"{index}\t{report.left.describe()}+{report.right.describe()}"
-                f"+{report.connecting.describe()}\t{report.defect}")
+            log(_log_line(index, report))
         if not report.squares_hold:
             continue             # a failing square: discarded, not examined
         examined += 1
@@ -236,6 +237,11 @@ def _tally(classified: Iterable[Violation],
             if first is None:
                 first = (ses, triple, report)
     return SearchOutcome(violations, first, examined)
+
+
+def _log_line(index: int, report: AdditivityReport) -> str:
+    return (f"{index}\t{report.left.describe()}+{report.right.describe()}"
+            f"+{report.connecting.describe()}\t{report.defect}")
 
 
 def _capped_power(base: int, exp: int, cap: int) -> int:
@@ -351,15 +357,33 @@ def _search_exhaustive(cfg: SearchConfig,
     return SearchOutcome(violations, first, examined)
 
 
-def _random_triples(cfg: SearchConfig) -> Iterator[Violation]:
+def _search_randomized(cfg: SearchConfig,
+                       log: Optional[LogLine]) -> SearchOutcome:
+    examined = violations = 0
+    first: Optional[Violation] = None
     for trial in range(cfg.trials):
         rng = Random(f"{cfg.seed}:{trial}")
         system = _SesSystem(random_extension(
             rng, cfg.ring, max_window=cfg.max_window, max_rank=cfg.max_rank))
         u = system.u_space.sample(rng)
         v = system.v_space.sample(rng)
+        # unlogged, each square is decided once the one before holds; w is
+        # the trial's last draw, so skipping it moves no other
+        if log is None and not system.left(u, v).holds:
+            continue
         w = system.w_space.sample(rng)
-        yield system.classify(EndoTriple(u, v, w))
+        if log is not None:     # a line shows all three squares
+            report = system.report(EndoTriple(u, v, w))
+            log(_log_line(trial, report))
+            if not report.squares_hold:
+                continue
+        elif not (system.right(v, w).holds and system.connecting(u, w).holds):
+            continue
+        examined += 1
+        if graded_trace(v) - graded_trace(u) - graded_trace(w):
+            violations += 1
+            first = first or system.classify(EndoTriple(u, v, w))
+    return SearchOutcome(violations, first, examined)
 
 
 def search_violation(cfg: SearchConfig,
@@ -367,10 +391,11 @@ def search_violation(cfg: SearchConfig,
     """Sweep extensions and endomorphism triples, counting violations.
 
     A triple is *examined* when its left, right and connecting squares
-    all commute at least up to homotopy (anything else is discarded
-    unexamined); it is a *violation* when it is examined and its trace
-    defect is nonzero.  Deterministic given the config, including across
-    log settings — except that `log`, when given, receives one line per
+    all commute at least up to homotopy (without a log, a randomized
+    trial decides them in that order and stops at the first that fails);
+    it is a *violation* when it is examined and its trace defect is
+    nonzero.  Deterministic given the config, including across log
+    settings — except that `log`, when given, receives one line per
     classified triple ("index<TAB>left+right+connecting<TAB>defect"),
     which in exhaustive mode forces the slow one-by-one sweep and a
     per-triple budget.  Exhaustive mode raises CeilingExceededError
@@ -378,7 +403,7 @@ def search_violation(cfg: SearchConfig,
     """
     if cfg.mode == "exhaustive":
         return _search_exhaustive(cfg, log)
-    return _tally(_random_triples(cfg), log)
+    return _search_randomized(cfg, log)
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,9 @@ class _SesSystem:
         return ChainMapSpace(self.ses.quotient, self.ses.quotient)
 
     def _square(self, diff: ChainMap, problem: str) -> SquareStatus:
-        """One square from the difference of its two composites; `problem`
+        """One square from the difference of its two composites, each *_diff
+        read as "through the middle endo (or the shifted sub endo), minus the
+        other way around", so a witness h has d h + h d = diff; `problem`
         names the attribute holding its null-homotopy problem."""
         if diff.is_zero():
             return SquareStatus(True, Homotopy.zero(diff.source, diff.target))
@@ -338,18 +340,24 @@ class _SesSystem:
 
     def report(self, triple: EndoTriple) -> AdditivityReport:
         """The three squares, each with a witness, and the traces of one
-        triple: the one per-triple check of every mode, as check_triple
-        but without endo validation."""
+        triple: the per-triple check of exhaustive sweeps, logs and first
+        violations, as check_triple but without endo validation."""
         u, v, w = triple.on_sub, triple.on_middle, triple.on_quotient
-        j, q = self.ses.inclusion, self.ses.projection
-        # each difference reads "the composite through the middle endo (or
-        # the shifted sub endo), minus the other way around", so a witness
-        # h satisfies d h + h d = difference
-        left = self._square(v @ j - j @ u, "left_prob")
-        right = self._square(q @ v - w @ q, "right_prob")
         tu, tv, tw = graded_trace(u), graded_trace(v), graded_trace(w)
-        return AdditivityReport(left, right, self.connecting(u, w),
-                                tu, tv, tw, tv - tu - tw)
+        return AdditivityReport(self.left(u, v), self.right(v, w),
+                                self.connecting(u, w), tu, tv, tw, tv - tu - tw)
+
+    def left_diff(self, u: ChainMap, v: ChainMap) -> ChainMap:
+        return v @ self.ses.inclusion - self.ses.inclusion @ u
+
+    def left(self, u: ChainMap, v: ChainMap) -> SquareStatus:
+        return self._square(self.left_diff(u, v), "left_prob")
+
+    def right_diff(self, v: ChainMap, w: ChainMap) -> ChainMap:
+        return self.ses.projection @ v - w @ self.ses.projection
+
+    def right(self, v: ChainMap, w: ChainMap) -> SquareStatus:
+        return self._square(self.right_diff(v, w), "right_prob")
 
     def connecting_diff(self, u: ChainMap, w: ChainMap) -> ChainMap:
         """u[1] delta - delta w, degree by degree: the shifted sub endo is

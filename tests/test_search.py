@@ -19,7 +19,8 @@ import chaintrace.search
 import chaintrace.ses as ses_module
 from chaintrace.complexes import (ChainMap, ChainMapSpace, Homotopy,
                                   PerfectComplex, Validation, _HomMap, _hom_d)
-from chaintrace.generate import random_cocycle, random_complex, random_element
+from chaintrace.generate import (random_cocycle, random_complex,
+                                 random_element, random_extension)
 from chaintrace.homotopy import NullHomotopyProblem, graded_trace, perturb
 from chaintrace.linalg import Matrix
 from chaintrace.rings import RingSpec
@@ -562,6 +563,72 @@ def test_randomized_over_square_zero_ring_finds_certified_violation():
     assert out.violations_found == 13
     assert out.instances_examined == 849
     assert bool(certify(out))
+
+
+def _reported_trials(cfg):
+    """The reference sweep of a randomized search: every trial draws all
+    three endos and builds its full report, deciding every square."""
+    for trial in range(cfg.trials):
+        rng = random.Random(f"{cfg.seed}:{trial}")
+        system = _SesSystem(random_extension(
+            rng, cfg.ring, max_window=cfg.max_window, max_rank=cfg.max_rank))
+        u = system.u_space.sample(rng)
+        v = system.v_space.sample(rng)
+        w = system.w_space.sample(rng)
+        yield system.classify(EndoTriple(u, v, w))
+
+
+@pytest.mark.parametrize("ring, window, rank", [
+    (Z4, 3, 2), (Z3E, 3, 2), (Z2E, 2, 1), (RingSpec(5), 2, 1),
+    (RingSpec(6), 2, 1)], ids=str)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_ordered_trials_match_full_reports(ring, window, rank, seed):
+    # stopping a trial at its first failing square keeps every count and
+    # the first violation, report and witnesses included; a log still
+    # shows all three squares of every trial
+    cfg = SearchConfig(ring, max_window=window, max_rank=rank, trials=150,
+                       seed=seed)
+    reference = list(_reported_trials(cfg))
+    expected_lines, lines = [], []
+    expected = _tally(reference, expected_lines.append)
+    assert search_violation(cfg) == expected
+    assert search_violation(cfg, log=lines.append) == expected
+    assert lines == expected_lines
+    hits = [c for c in reference if c[2].is_violation]
+    assert len(hits) == expected.violations_found
+    for hit in hits:
+        assert bool(certify(SearchOutcome(1, hit, 1)))
+
+
+def test_unlogged_trials_stop_at_the_first_failing_square(monkeypatch):
+    # Z/4 w3r2, 60 trials: the left square fails on 43, and 6 are examined
+    cfg = SearchConfig(Z4, max_window=3, max_rank=2, trials=60)
+    reference = list(_reported_trials(cfg))
+    draws, problems = [], []
+    for ses, _, report in reference:
+        draws += [ses.sub, ses.middle]
+        if not report.left.strict:
+            problems.append((ses.sub, ses.middle))
+        if not report.left.holds:
+            continue
+        # w is drawn, and the right square decided, once the left holds
+        draws.append(ses.quotient)
+        if not report.right.strict:
+            problems.append((ses.middle, ses.quotient))
+        if report.right.holds and not report.connecting.strict:
+            problems.append((ses.quotient, ses.sub.shift(1)))
+    examined = sum(report.squares_hold for _, _, report in reference)
+    assert 0 < examined < len(draws) - 2 * cfg.trials < cfg.trials
+    sampled = count_calls(monkeypatch, ChainMapSpace, "sample")
+    built = count_calls(monkeypatch, ses_module, "NullHomotopyProblem")
+    traces = count_calls(monkeypatch, chaintrace.search, "graded_trace")
+    reported = count_calls(monkeypatch, ses_module, "graded_trace")
+    out = search_violation(cfg)
+    assert out == _tally(reference, None) and out.violations_found
+    assert [space.source for space, _ in sampled] == draws
+    assert built == problems
+    # three traces per examined triple, and the first violation's report
+    assert (len(traces), len(reported)) == (3 * examined, 3)
 
 
 def test_randomized_over_field_examines_but_never_finds():
