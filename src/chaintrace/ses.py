@@ -22,7 +22,10 @@ square problems and endo spaces; it reports on triples for every search
 mode, draws the fillers of strict triples, and counts triples without
 visiting them: with one homotopy per square as an unknown, every
 condition on (u, v, w) is linear, so examined and additive triples are
-kernel counts of one Hom-complex system (see _SesSystem.counts).
+kernel counts of one Hom-complex system (see _SesSystem.counts).  For a
+sequence in block form, as make_extension builds them, the visible
+squares' differences are read off the middle endo's blocks, with no
+product through the inclusion or the projection.
 """
 
 from __future__ import annotations
@@ -66,8 +69,16 @@ class ShortExactSequence:
     def ring(self):
         return self.middle.ring
 
-    # connecting_map's boundary, kept outside the fields, so that ==, hash
-    # and repr do not see it; make_extension stores the twist it validated
+    # connecting_map's boundary and the block-form marker, kept outside the
+    # fields, so that ==, hash and repr do not see them; make_extension
+    # stores the twist it validated and True
+    @cached_property
+    def _in_block_form(self) -> bool:
+        """The inclusion and projection are the block injection [I; 0] and
+        projection [0 | I] of a middle laid out as sub (+) quotient."""
+        return (self.inclusion, self.projection) == _block_maps(
+            self.sub, self.quotient, self.middle)
+
     @cached_property
     def _delta(self) -> ChainMap:
         # the section as a degree-0 element of Hom(M, L), not a chain map
@@ -295,7 +306,9 @@ class _SesSystem:
     square, left K -> L and right L -> M of the sequence, connecting
     M -> K[1] of its pair (K, M), and its three endo spaces.  Each is
     built on first use: a triple whose squares all commute on the nose
-    builds no problem, and `counts` builds no endo space."""
+    builds no problem, and `counts` builds no endo space.  In block form
+    the left and right squares' differences are read off v's blocks;
+    any other sequence composes v with j and q."""
 
     def __init__(self, ses: ShortExactSequence, pair: Optional[_Pair] = None):
         self.ses = ses
@@ -348,13 +361,42 @@ class _SesSystem:
                                 self.connecting(u, w), tu, tv, tw, tv - tu - tw)
 
     def left_diff(self, u: ChainMap, v: ChainMap) -> ChainMap:
-        return v @ self.ses.inclusion - self.ses.inclusion @ u
+        """v j - j u; in block form [v11 - u; v21] at each degree: the first
+        rank(K^n) columns of v^n, less u^n in their first rank(K^n) rows."""
+        ses = self.ses
+        if not ses._in_block_form:
+            return v @ ses.inclusion - ses.inclusion @ u
+        comps = []
+        for n, un in zip(u.degrees(), u.comps):
+            vn, k = v.comp(n), un.cols      # k = rank(K^n), r = rank(L^n)
+            r, e, f, out = vn.cols, vn.entries, un.entries, []
+            for i in range(r):
+                row = e[i * r:i * r + k]
+                out += ([x - y for x, y in zip(row, f[i * k:i * k + k])]
+                        if i < k else row)
+            comps.append(Matrix(ses.ring, r, k, tuple(out)))
+        return ChainMap(ses.sub, ses.middle, tuple(comps))
 
     def left(self, u: ChainMap, v: ChainMap) -> SquareStatus:
         return self._square(self.left_diff(u, v), "left_prob")
 
     def right_diff(self, v: ChainMap, w: ChainMap) -> ChainMap:
-        return self.ses.projection @ v - w @ self.ses.projection
+        """q v - w q; in block form [v21 | v22 - w] at each degree: the last
+        rank(M^n) rows of v^n, less w^n in their last rank(M^n) columns."""
+        ses = self.ses
+        if not ses._in_block_form:
+            return ses.projection @ v - w @ ses.projection
+        comps = []
+        for n, vn in zip(v.degrees(), v.comps):
+            wn, r = w.comp(n), vn.cols      # r = rank(L^n), m = rank(M^n)
+            m, e, g, out = wn.cols, vn.entries, wn.entries, []
+            k = r - m
+            for t in range(m):
+                row = e[(k + t) * r:(k + t + 1) * r]
+                out += row[:k]
+                out += [x - y for x, y in zip(row[k:], g[t * m:t * m + m])]
+            comps.append(Matrix(ses.ring, m, r, tuple(out)))
+        return ChainMap(ses.middle, ses.quotient, tuple(comps))
 
     def right(self, v: ChainMap, w: ChainMap) -> SquareStatus:
         return self._square(self.right_diff(v, w), "right_prob")
@@ -586,6 +628,7 @@ def make_extension(sub: PerfectComplex, quotient: PerfectComplex,
     ses = ShortExactSequence(sub, middle, quotient,
                              *_block_maps(sub, quotient, middle))
     object.__setattr__(ses, "_delta", delta)
+    object.__setattr__(ses, "_in_block_form", True)
     return ses
 
 
@@ -597,9 +640,9 @@ def extension_twist(ses: ShortExactSequence) -> ChainMap:
     block injection/projection (as produced by make_extension); raises
     ValueError otherwise, because then the top-right block of the middle
     differential has no preferred meaning."""
-    sub, mid, quo = ses.sub, ses.middle, ses.quotient
-    if (ses.inclusion, ses.projection) != _block_maps(sub, quo, mid):
+    if not ses._in_block_form:
         raise ValueError("extension is not in block form")
+    sub, mid, quo = ses.sub, ses.middle, ses.quotient
     comps = []
     for n in quo.degrees():
         r, c, d = sub.rank(n + 1), quo.rank(n), mid.diff(n)

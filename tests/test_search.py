@@ -44,6 +44,7 @@ from chaintrace.ses import (
     validate_ses,
     _SesSystem,
 )
+from conftest import count_calls
 from test_ses import twist_map
 
 Z2 = RingSpec(2)
@@ -445,17 +446,6 @@ def count_inits(monkeypatch, cls):
     return calls
 
 
-def count_calls(monkeypatch, module, name):
-    """Wrap module.name for the test; the list of argument tuples it saw."""
-    real, calls = getattr(module, name), []
-
-    def wrapper(*args):
-        calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
-
-
 def test_each_boundary_and_connecting_problem_is_built_once(monkeypatch):
     # Z/3 w2r1 again: make_extension builds and checks each of the 49
     # boundaries, which the sweep reuses, and the sequences of one pair
@@ -629,6 +619,20 @@ def test_unlogged_trials_stop_at_the_first_failing_square(monkeypatch):
     assert built == problems
     # three traces per examined triple, and the first violation's report
     assert (len(traces), len(reported)) == (3 * examined, 3)
+
+
+def test_unlogged_trials_compose_nothing_with_the_block_maps(monkeypatch):
+    # Z/4 w3r2, 60 trials: every drawn sequence is make_extension's, so
+    # its left and right squares are read off the middle endo's blocks,
+    # and no chain map is composed with its inclusion or projection
+    cfg = SearchConfig(Z4, max_window=3, max_rank=2, trials=60)
+    reference = list(_reported_trials(cfg))
+    block_maps = {f for ses, _, _ in reference
+                  for f in (ses.inclusion, ses.projection)}
+    products = count_calls(monkeypatch, ChainMap, "__matmul__")
+    out = search_violation(cfg)
+    assert out == _tally(reference, None) and out.violations_found
+    assert [args for args in products if block_maps & set(args)] == []
 
 
 def test_randomized_over_field_examines_but_never_finds():

@@ -46,6 +46,8 @@ from chaintrace.ses import (
     make_extension,
     validate_ses,
 )
+from chaintrace.textio import parse_document, ses_file
+from conftest import count_calls
 
 Z4 = RingSpec(4)
 Z2E = RingSpec(2, True)
@@ -837,6 +839,61 @@ def test_connecting_square_matches_shifted_composite():
                 assert connecting_square(ses, u, w) == want, ring
                 held += want.holds
         assert held, ring
+
+
+def test_block_form_squares_equal_the_product_formulas(monkeypatch):
+    # make_extension's sequences read v j - j u and q v - w q off v's
+    # blocks and compose nothing; the product formulas are the oracle.
+    # Most random extensions split, so each ring draws until it has kept 6
+    # glued ones (delta != 0) and 3 split ones.  A copy made by
+    # dataclasses.replace or parsed back from its file recomputes the
+    # block-form marker; a basis-changed copy is out of block form and
+    # takes the product path
+    products = count_calls(monkeypatch, ChainMap, "__matmul__")
+    for ring in (Z4, RingSpec(6), RingSpec(9), Z2E, Z3E):
+        rng = random.Random(f"block squares {ring}")
+        wanted = {True: 6, False: 3}    # by "glued"
+        while any(wanted.values()):
+            ses = random_extension(rng, ring, max_window=3, max_rank=2)
+            glued = not connecting_map(ses).is_zero()
+            if not wanted[glued]:
+                continue
+            wanted[glued] -= 1
+            copy = dataclasses.replace(ses)
+            parsed = parse_document(ses_file(ses)).ses()
+            assert "_in_block_form" not in vars(copy) | vars(parsed)
+            assert ses._in_block_form and copy._in_block_form \
+                and parsed._in_block_form
+            assert copy == parsed == ses
+            changed = None
+            while any(ses.middle.ranks):   # else no basis to change
+                changed = change_middle_basis(rng, ses)
+                if not changed[0]._in_block_form:
+                    break
+            system = _SesSystem(ses)
+            j, q = ses.inclusion, ses.projection
+            for _ in range(3):
+                u, v, w = (space.sample(rng) for space in (
+                    system.u_space, system.v_space, system.w_space))
+                products.clear()
+                left, right = system.left_diff(u, v), system.right_diff(v, w)
+                assert products == []
+                assert left == v @ j - j @ u and right == q @ v - w @ q, ring
+                for other in (_SesSystem(copy), _SesSystem(parsed)):
+                    assert (other.left_diff(u, v), other.right_diff(v, w)) \
+                        == (left, right)
+                if changed is None:
+                    continue
+                ses2, carry = changed
+                system2, v2 = _SesSystem(ses2), carry(v)
+                j2, q2 = ses2.inclusion, ses2.projection
+                products.clear()
+                left = system2.left_diff(u, v2)
+                right = system2.right_diff(v2, w)
+                assert [len({j2, q2} & set(args)) for args in products] \
+                    == [1] * 4
+                assert left == v2 @ j2 - j2 @ u, ring
+                assert right == q2 @ v2 - w @ q2, ring
 
 
 def test_counting_and_solving_never_run_the_integer_elimination(
