@@ -19,7 +19,7 @@ from random import Random
 from typing import (Callable, ClassVar, Iterator, Mapping, NamedTuple,
                     Optional, Sequence, TypeVar)
 
-from .linalg import LinearSolver, Matrix, ShapeError
+from .linalg import IntegerSystem, LinearSolver, Matrix, ShapeError
 from .rings import RingElem, RingSpec
 
 
@@ -412,8 +412,10 @@ def _d_terms(source: PerfectComplex, target: PerfectComplex, k: int,
 
 def _hom_matrix(ring: RingSpec, layouts: Sequence[_Slots],
                 block_rows: Sequence[tuple[_Slots, Sequence[_Term]]]
-                ) -> Matrix:
-    """The matrix of sums of `_Term`s, its rows written directly.
+                ) -> IntegerSystem:
+    """The matrix of sums of `_Term`s, written directly as the integer
+    rows that LinearSolver factors: the a-parts and, over Z/m[e], the
+    e-parts of its entries.
 
     Columns are the unknowns' entries: one `_hom_slots` layout per
     unknown, concatenated, each block row-major.  Each block row is an
@@ -425,11 +427,13 @@ def _hom_matrix(ring: RingSpec, layouts: Sequence[_Slots],
         for n, r, c in slots:
             offsets[var, n] = (pos, r, c)
             pos += r * c
-    zero = ring.zero()
-    rows: list[list[RingElem]] = []
+    m, eps = ring.modulus, ring.has_epsilon
+    a_rows: list[list[int]] = []
+    e_rows: list[list[int]] = []
     for eq_slots, terms in block_rows:
         for n, er, ec in eq_slots:
-            block = [[zero] * pos for _ in range(er * ec)]
+            a_block = [[0] * pos for _ in range(er * ec)]
+            e_block = [[0] * pos for _ in range(er * ec)] if eps else None
             for var, f, shift, left, sign in terms:
                 slot = offsets.get((var, n + shift))
                 if slot is None:
@@ -444,19 +448,23 @@ def _hom_matrix(ring: RingSpec, layouts: Sequence[_Slots],
                     if not x:
                         continue
                     p, l = divmod(idx, a.cols)
-                    x = x if sign > 0 else -x
-                    # a cell still holding `zero` takes x without an add
                     if left:      # f[p, l] X[l, j] adds to row (p, j)
-                        for j in range(ec):
-                            row, col = block[p * ec + j], base + l * ec + j
-                            row[col] = x if row[col] is zero else row[col] + x
+                        cells = zip(range(p * ec, p * ec + ec),
+                                    range(base + l * ec, base + l * ec + ec))
                     else:         # X[i, p] f[p, l] adds to row (i, l)
-                        for i in range(er):
-                            row, col = block[i * ec + l], base + i * c + p
-                            row[col] = x if row[col] is zero else row[col] + x
-            rows.extend(block)
-    entries = [x for row in rows for x in row]
-    return Matrix(ring, len(rows), pos, tuple(entries))
+                        cells = zip(range(l, er * ec, ec),
+                                    range(base + p, base + er * c, c))
+                    xa, xb = sign * x.a, sign * x.b
+                    for i, j in cells:
+                        row = a_block[i]
+                        row[j] = (row[j] + xa) % m
+                        if xb:    # never over Z/m, where e_block is None
+                            row = e_block[i]
+                            row[j] = (row[j] + xb) % m
+            a_rows += a_block
+            if eps:
+                e_rows += e_block
+    return IntegerSystem(ring, pos, a_rows, e_rows if eps else None)
 
 
 class HomComplex:
@@ -468,7 +476,9 @@ class HomComplex:
     it fills `var_slots`.  Equations are D(X), of degree k+1, the same
     way (`eq_slots`).  Cycles are chain maps at k = 0 and twists, chain
     maps into target[1], at k = 1; at k = -1, whose unknowns include
-    fillers, D's image is the null-homotopic maps.  One solver serves all."""
+    fillers, D's image is the null-homotopic maps.  One solver serves all;
+    its system is the IntegerSystem `_hom_matrix` writes, with no ring
+    element built, and a drawn cycle replays no right-hand side."""
 
     def __init__(self, source: PerfectComplex, target: PerfectComplex,
                  k: int):
@@ -477,11 +487,10 @@ class HomComplex:
         self.source, self.target, self.k = source, target, k
         self.var_slots = _hom_slots(source, target, k)
         self.eq_slots = _hom_slots(source, target, k + 1)
-        mat = _hom_matrix(source.ring, [self.var_slots],
-                          [(self.eq_slots, _d_terms(source, target, k))])
-        self.n_vars = mat.cols
-        self.solver = LinearSolver(mat)
-        self._zero_rhs = [source.ring.zero()] * mat.rows
+        system = _hom_matrix(source.ring, [self.var_slots],
+                             [(self.eq_slots, _d_terms(source, target, k))])
+        self.n_vars = system.cols
+        self.solver = LinearSolver(system)
 
     @property
     def count(self) -> int:
@@ -506,13 +515,12 @@ class HomComplex:
         return tuple(comps)
 
     def iter_cycles(self) -> Iterator[tuple[Matrix, ...]]:
-        for vec in self.solver.iter_solutions(self._zero_rhs):
+        zero = [self.source.ring.zero()] * self.solver.mat.rows
+        for vec in self.solver.iter_solutions(zero):
             yield self.to_comps(vec)
 
     def sample_cycle(self, rng: Random) -> tuple[Matrix, ...]:
-        vec = self.solver.sample_solution(self._zero_rhs, rng)
-        assert vec is not None  # homogeneous systems always have 0
-        return self.to_comps(vec)
+        return self.to_comps(self.solver.sample_solution(None, rng))
 
 
 class ChainMapSpace(HomComplex):

@@ -5,7 +5,8 @@ columns (a map to or from the zero module); such empty matrices behave
 correctly under every operation (det of the 0x0 matrix is 1, trace 0,
 products with an empty middle dimension are zero matrices).
 
-The solver lifts a system over Z/m to the integers.  A system over
+The solver lifts a system over Z/m to the integers; an IntegerSystem
+hands it the lift's rows directly, with no ring element.  A system over
 Z/m[e] is handled by splitting x = x0 + e*x1 and solving the doubled
 block system  [[A0, 0], [A1, A0]] [x0; x1] = [b0; b1]  over Z/m, which is
 an exact translation of the original problem.  Counts and solutions come
@@ -186,20 +187,20 @@ def _product(mat: Matrix, other: Sequence[RingElem],
              cols: int) -> list[RingElem]:
     """Entries, row-major, of mat times the mat.cols x cols matrix whose
     row-major entries are `other`; the caller checks rings and shapes."""
-    ring, m = mat.ring, mat.ring.modulus
+    ring = mat.ring
     k = mat.cols
     a = mat.entries
     out: list[RingElem] = []
     for i in range(mat.rows):
         for j in range(cols):
-            # accumulate on plain ints, one element built per entry
+            # accumulate on plain ints, one element looked up per entry
             sa = sb = 0
             for t in range(k):
                 x = a[i * k + t]
                 y = other[t * cols + j]
                 sa += x.a * y.a
                 sb += x.a * y.b + x.b * y.a
-            out.append(RingElem(ring, sa % m, sb % m))
+            out.append(ring.element(sa, sb))
     return out
 
 
@@ -223,7 +224,7 @@ def _berkowitz_det(mat: Matrix) -> RingElem:
     k x k block, R the row below it and C the column to its right.
     The determinant is (-1)^n times the constant coefficient.  Elements
     are carried as (a, b) integer pairs reduced mod m, and one ring
-    element is built at the end.
+    element is looked up at the end.
     """
     n, m = mat.rows, mat.ring.modulus
     a = [[(x.a, x.b) for x in mat.entries[i * n:(i + 1) * n]]
@@ -245,7 +246,7 @@ def _berkowitz_det(mat: Matrix) -> RingElem:
     d_a, d_b = poly[-1]
     if n % 2:
         d_a, d_b = -d_a, -d_b
-    return RingElem(mat.ring, d_a, d_b)
+    return mat.ring.element(d_a, d_b)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +472,60 @@ def _replay_cols(ops: list[int], y: list[int], q: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class IntegerSystem:
+    """A rows x cols matrix over the ring written as integer rows: `a`
+    holds the entries' a-parts and, over Z/m[e] only, `e` their e-parts,
+    each in [0, m).  `lift()` is the integer system that LinearSolver
+    factors (the module docstring has it).  Its hash is that of the Matrix
+    with the same entries, so a set of hashes counts one system once,
+    whichever of the two types carried it."""
+
+    ring: RingSpec
+    cols: int
+    a: list[list[int]]
+    e: Optional[list[list[int]]] = None
+
+    @classmethod
+    def of(cls, mat: Matrix) -> "IntegerSystem":
+        rows = [mat.entries[i * mat.cols:(i + 1) * mat.cols]
+                for i in range(mat.rows)]
+        return cls(mat.ring, mat.cols, [[x.a for x in r] for r in rows],
+                   [[x.b for x in r] for r in rows]
+                   if mat.ring.has_epsilon else None)
+
+    @property
+    def rows(self) -> int:
+        return len(self.a)
+
+    def lift(self) -> list[list[int]]:
+        """The rows themselves over Z/m, the doubled block system
+        [[A0, 0], [A1, A0]] over Z/m[e]."""
+        if self.e is None:
+            return self.a
+        pad = [0] * self.cols
+        return ([r + pad for r in self.a]
+                + [r1 + r0 for r1, r0 in zip(self.e, self.a)])
+
+    def with_row(self, row: list[int]) -> "IntegerSystem":
+        """The system with one more equation last, whose coefficients
+        have no e-part.  Over Z/m[e] it lifts to two rows that are not
+        adjacent: the last of the a-part rows, and the last row."""
+        e = None if self.e is None else self.e + [[0] * self.cols]
+        return IntegerSystem(self.ring, self.cols, self.a + [row], e)
+
+    def top(self, rows: int) -> "IntegerSystem":
+        """The system of the first `rows` equations."""
+        e = None if self.e is None else self.e[:rows]
+        return IntegerSystem(self.ring, self.cols, self.a[:rows], e)
+
+    def __hash__(self) -> int:
+        el = self.ring.element
+        e = self.e or [[0] * self.cols] * self.rows
+        return hash((self.ring, self.rows, self.cols, tuple(
+            el(x, y) for ra, re in zip(self.a, e) for x, y in zip(ra, re))))
+
+
 @dataclass(frozen=True)
 class SolutionReport:
     """Outcome of solving A x = b: exact solvability, one witness, and the
@@ -484,12 +539,14 @@ class SolutionReport:
 class LinearSolver:
     """Factor a matrix on first use, then answer many right-hand sides.
 
-    Both eliminations factor one integer lift of the matrix (the module
-    docstring has it) as U*lift*V = S diagonal mod some q, keeping U and V
-    as operation logs that a query replays on its own vector.  With c = U
-    b, s_i y_i = c_i (mod q) is solvable iff g_i = gcd(s_i, q) divides
-    c_i, and then has exactly g_i solutions; rows past the diagonal need
-    c_i = 0, and columns past it are free (factor q each).
+    The matrix comes as a Matrix or already as an IntegerSystem, which is
+    how HomComplex writes its systems.  Both eliminations factor one
+    integer lift of it (the module docstring has it) as U*lift*V = S
+    diagonal mod some q, keeping U and V as operation logs that a query
+    replays on its own vector.  With c = U b, s_i y_i = c_i (mod q) is
+    solvable iff g_i = gcd(s_i, q) divides c_i, and then has exactly g_i
+    solutions; rows past the diagonal need c_i = 0, and columns past it
+    are free (factor q each).
 
     kernel_count, image_count, solve, coset_key and is_solvable eliminate
     mod each prime power q of m (_local_log) and join solutions by the
@@ -500,7 +557,7 @@ class LinearSolver:
     or solved never eliminates over the integers.
     """
 
-    def __init__(self, mat: Matrix):
+    def __init__(self, mat: Matrix | IntegerSystem):
         self.ring, self.mat = mat.ring, mat
         self._m = self.ring.modulus
         self._eps = self.ring.has_epsilon
@@ -508,16 +565,10 @@ class LinearSolver:
         self._n_eq, self._n_var = width * mat.rows, width * mat.cols
 
     def _lift(self) -> list[list[int]]:
-        c = self.mat.cols
-        rows = [self.mat.entries[i * c:(i + 1) * c]
-                for i in range(self.mat.rows)]
-        lift = [[x.a for x in row] for row in rows]
-        if self._eps:
-            # the doubled block system [[A0, 0], [A1, A0]]
-            lift = ([row + [0] * c for row in lift]
-                    + [[x.b for x in row] + row0
-                       for row, row0 in zip(rows, lift)])
-        return lift
+        mat = self.mat
+        if not isinstance(mat, IntegerSystem):
+            mat = IntegerSystem.of(mat)
+        return mat.lift()
 
     @cached_property
     def _local(self) -> list[tuple[int, int, list[int], list[int],
@@ -593,11 +644,10 @@ class LinearSolver:
         return self._elems(_replay_cols(self._col_ops, y, self._m))
 
     def _elems(self, x: list[int]) -> tuple[RingElem, ...]:
-        cols = self.mat.cols
+        el, cols = self.ring.element, self.mat.cols
         if self._eps:
-            return tuple(RingElem(self.ring, x[j], x[cols + j])
-                         for j in range(cols))
-        return tuple(RingElem(self.ring, x[j]) for j in range(cols))
+            return tuple(el(x[j], x[cols + j]) for j in range(cols))
+        return tuple(el(x[j]) for j in range(cols))
 
     # -- queries -----------------------------------------------------------
 
@@ -630,14 +680,18 @@ class LinearSolver:
             key += [ci % g for ci, (g, _) in zip(c, piv)] + c[len(piv):]
         return tuple(key)
 
-    def sample_solution(self, b: Sequence[RingElem],
+    def sample_solution(self, b: Optional[Sequence[RingElem]],
                         rng: Random) -> Optional[tuple[RingElem, ...]]:
-        """Uniformly random solution, or None when unsolvable."""
+        """Uniformly random solution, or None when unsolvable.  b = None
+        stands for the zero right-hand side: the same draws from rng give
+        the same solution, with no right-hand side to replay."""
         self._integer_log()
-        c = self._transform(self._rhs_ints(b))
-        y = self._particular_y(c)
-        if y is None:
-            return None
+        if b is None:
+            y = [0] * self._n_var
+        else:
+            y = self._particular_y(self._transform(self._rhs_ints(b)))
+            if y is None:
+                return None
         m = self._m
         for i, g in enumerate(self._gs):
             y[i] = (y[i] + rng.randrange(g) * (m // g)) % m

@@ -1,8 +1,11 @@
 """Arithmetic in Z/m and in Z/m[e] with e^2 = 0.
 
 Every element is kept in canonical residue form (0 <= a, b < m), so
-dataclass equality and hashing are reliable.  All values are immutable;
-arithmetic returns fresh elements and never mutates.
+dataclass equality and hashing are reliable.  All values are immutable,
+and arithmetic never mutates.  A ring of at most 2^16 elements is one
+object per value and interns its elements: construction and arithmetic
+return the ring's one element of each value, built on first use.  A
+larger ring builds a fresh element each time.
 """
 
 from __future__ import annotations
@@ -11,6 +14,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt, prod
 from typing import Iterator, Optional
+
+# rings with at most this many elements are interned, and so are their
+# elements
+_INTERNED_MAX = 1 << 16
+_RINGS: dict[tuple[int, bool], "RingSpec"] = {}
 
 
 class RingMismatchError(ValueError):
@@ -44,6 +52,21 @@ class RingSpec:
     modulus: int
     has_epsilon: bool = False
 
+    def __new__(cls, modulus: int, has_epsilon: bool = False) -> "RingSpec":
+        # one object per small ring value, so that its elements are shared
+        if type(modulus) is not int or type(has_epsilon) is not bool:
+            return super().__new__(cls)
+        ring = _RINGS.get((modulus, has_epsilon))
+        if ring is None:
+            ring = super().__new__(cls)
+            if 2 <= modulus and (modulus * modulus if has_epsilon
+                                 else modulus) <= _INTERNED_MAX:
+                _RINGS[modulus, has_epsilon] = ring
+        return ring
+
+    def __reduce__(self):
+        return RingSpec, (self.modulus, self.has_epsilon)
+
     def __post_init__(self) -> None:
         if self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
@@ -51,7 +74,10 @@ class RingSpec:
     # -- construction ------------------------------------------------------
 
     def element(self, a: int = 0, b: int = 0) -> "RingElem":
-        return RingElem(self, a, b)
+        table, m = self._elements, self.modulus
+        if table is None:
+            return RingElem(self, a, b)
+        return table[a % m + m * (b % m)]
 
     def zero(self) -> "RingElem":
         return self._zero
@@ -63,12 +89,17 @@ class RingSpec:
     # and repr do not see them
 
     @cached_property
+    def _elements(self) -> Optional["_Elements"]:
+        """The interned elements by index, or None for a larger ring."""
+        return _Elements(self) if self.cardinality <= _INTERNED_MAX else None
+
+    @cached_property
     def _zero(self) -> "RingElem":
-        return RingElem(self, 0, 0)
+        return self.element(0)
 
     @cached_property
     def _one(self) -> "RingElem":
-        return RingElem(self, 1, 0)
+        return self.element(1)
 
     @cached_property
     def _prime_powers(self) -> tuple[tuple[int, int], ...]:
@@ -78,7 +109,7 @@ class RingSpec:
     def epsilon(self) -> "RingElem":
         if not self.has_epsilon:
             raise ValueError(f"{self} has no e")
-        return RingElem(self, 0, 1)
+        return self.element(0, 1)
 
     # -- enumeration -------------------------------------------------------
 
@@ -90,7 +121,7 @@ class RingSpec:
         """Inverse of RingElem.index: 0 <= i < cardinality."""
         if not 0 <= i < self.cardinality:
             raise ValueError(f"index {i} out of range for {self}")
-        return RingElem(self, i % self.modulus, i // self.modulus)
+        return self.element(i % self.modulus, i // self.modulus)
 
     def elements(self) -> Iterator["RingElem"]:
         """All ring elements in index order (deterministic)."""
@@ -126,6 +157,20 @@ class RingSpec:
         return f"Z/{self.modulus}[e]" if self.has_epsilon else f"Z/{self.modulus}"
 
 
+class _Elements(dict):
+    """A small ring's elements by index a + m*b, each built on first
+    lookup; an index with an e-part is refused as RingElem refuses it."""
+
+    def __init__(self, ring: RingSpec):
+        super().__init__()
+        self.ring = ring
+
+    def __missing__(self, i: int) -> "RingElem":
+        m = self.ring.modulus
+        x = self[i] = RingElem(self.ring, i % m, i // m)
+        return x
+
+
 @dataclass(frozen=True, slots=True)
 class RingElem:
     """An element a + b*e of a RingSpec, stored with 0 <= a, b < modulus."""
@@ -147,23 +192,20 @@ class RingElem:
 
     def __add__(self, other: "RingElem") -> "RingElem":
         self._check(other)
-        return RingElem(self.ring, self.a + other.a, self.b + other.b)
+        return self.ring.element(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         self._check(other)
-        return RingElem(self.ring, self.a - other.a, self.b - other.b)
+        return self.ring.element(self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> "RingElem":
-        return RingElem(self.ring, -self.a, -self.b)
+        return self.ring.element(-self.a, -self.b)
 
     def __mul__(self, other: "RingElem") -> "RingElem":
         # (a + b e)(c + d e) = ac + (ad + bc) e   since e^2 = 0
         self._check(other)
-        return RingElem(
-            self.ring,
-            self.a * other.a,
-            self.a * other.b + self.b * other.a,
-        )
+        return self.ring.element(self.a * other.a,
+                                 self.a * other.b + self.b * other.a)
 
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
@@ -177,7 +219,7 @@ class RingElem:
         if not self.is_unit():
             raise ValueError(f"{self} is not a unit in {self.ring}")
         inv = pow(self.a, -1, self.ring.modulus)
-        return RingElem(self.ring, inv, -self.b * inv * inv)
+        return self.ring.element(inv, -self.b * inv * inv)
 
     @property
     def index(self) -> int:

@@ -51,7 +51,7 @@ from .complexes import (
     _twisted_sum,
 )
 from .homotopy import Homotopy, NullHomotopyProblem, graded_trace
-from .linalg import LinearSolver, Matrix
+from .linalg import IntegerSystem, LinearSolver, Matrix
 from .rings import RingElem
 
 
@@ -444,10 +444,10 @@ class _SesSystem:
                 return ses, triple, report
         return None
 
-    def matrix(self) -> Matrix:
+    def matrix(self) -> IntegerSystem:
         """B of `counts` with the defect row last: block rows D(u), D(v),
         D(w) and each square's difference minus D(h), in (u, v, w, h_L,
-        h_R, h_C), all written by `_hom_matrix`."""
+        h_R, h_C), all written by `_hom_matrix` as integer rows."""
         ses, ring = self.ses, self.ses.ring
         j, q, delta = ses.inclusion, ses.projection, self.delta
         complexes = (ses.sub, ses.middle, ses.quotient)
@@ -468,15 +468,15 @@ class _SesSystem:
         b = _hom_matrix(ring, endo_slots + [p.var_slots for p in probs],
                         block_rows)
         # tr v - tr u - tr w: +-(-1)^n on the diagonals of the endo blocks
-        defect = [ring.zero()] * b.cols
+        defect = [0] * b.cols
         pos = 0
         for sign, slots in zip((-1, 1, -1), endo_slots):
             for n, r, _ in slots:
-                x = ring.element(-sign if n % 2 else sign)
+                x = (-sign if n % 2 else sign) % ring.modulus
                 for i in range(r):
                     defect[pos + i * r + i] = x
                 pos += r * r
-        return Matrix(ring, b.rows + 1, b.cols, b.entries + tuple(defect))
+        return b.with_row(defect)
 
     def counts(self) -> tuple[int, int]:
         """(examined, violations) over all triples, visiting none.
@@ -497,9 +497,8 @@ class _SesSystem:
         fibre = prod(p.count for p in (self.left_prob, self.right_prob,
                                        self.conn_prob))
         full = self.matrix()
-        b = Matrix(full.ring, full.rows - 1, full.cols,
-                   full.entries[:(full.rows - 1) * full.cols])
-        examined, additive = (LinearSolver(m).kernel_count for m in (b, full))
+        examined, additive = (LinearSolver(m).kernel_count
+                              for m in (full.top(full.rows - 1), full))
         if examined % fibre or additive % fibre:
             raise RuntimeError("kernel count is not a multiple of the "
                                "homotopy cycles; solver bug")

@@ -20,6 +20,7 @@ from chaintrace.complexes import (
 from chaintrace.generate import random_complex, random_matrix
 from chaintrace.linalg import Matrix, ShapeError
 from chaintrace.rings import RingSpec
+from oracles import integer_lift, ring_hom_complex_matrix, ring_hom_matrix
 
 Z4 = RingSpec(4)
 Z3E = RingSpec(3, True)
@@ -322,10 +323,43 @@ def test_hom_differential_matches_hom_complex_rows():
                 assert hom.to_comps(vec) == tuple(map(padded, src.degrees()))
                 # D(X), a degree k+1 map, flattens to the rows applied
                 assert hom.flatten(ChainMap.build(src, tgt.shift(k + 1), dx)) \
-                    == hom.solver.mat.apply(vec)
+                    == ring_hom_complex_matrix(hom).apply(vec)
                 cases += 1
                 non_cycles += any(not b.is_zero() for b in dx.values())
     assert cases == 800 and non_cycles >= 100
+
+
+def test_hom_complex_system_is_the_lift_of_the_ring_reference():
+    """HomComplex's system, written straight into integer rows, is the
+    lift of the same matrix summed in the ring (`tests/oracles.py`) at k
+    = -2..2: its rows and e-part rows, its shape and its hash, also when
+    some blocks are empty, the windows do not meet, or a complex is
+    zero."""
+    rng = random.Random(15)
+    shapes = dict.fromkeys(("no equations", "no unknowns", "both"), 0)
+    for ring in (Z4, RingSpec(6), RingSpec(2, True), Z3E):
+        pool = [PerfectComplex.single(ring, 0, 0),
+                PerfectComplex.single(ring, 3, 2)]
+        for _ in range(25):
+            src, tgt = (random_complex(rng, ring, max_window=3, max_rank=2,
+                                       lo=rng.randint(-1, 2))
+                        for _ in range(2))
+            for source, target in ((src, tgt), (src, rng.choice(pool)),
+                                   (rng.choice(pool), tgt)):
+                for k in range(-2, 3):
+                    hom = HomComplex(source, target, k)
+                    system, reference = (hom.solver.mat,
+                                         ring_hom_complex_matrix(hom))
+                    assert (system.rows, system.cols) == \
+                        (reference.rows, reference.cols) == \
+                        (len(system.a), hom.n_vars)
+                    assert system.lift() == integer_lift(reference)
+                    assert (system.e is None) == (not ring.has_epsilon)
+                    assert hash(system) == hash(reference)
+                    shapes["no equations"] += not system.rows
+                    shapes["no unknowns"] += not system.cols
+                    shapes["both"] += bool(system.rows and system.cols)
+    assert min(shapes.values()) >= 20, shapes
 
 
 def test_hom_matrix_terms_match_matrix_products():
@@ -333,7 +367,8 @@ def test_hom_matrix_terms_match_matrix_products():
     and 1, negated and not, applied to random blocks of a degree-k
     element X (mostly not cycles) equals the same term evaluated by
     matrix products, block by block in the equation layout; a term
-    given twice counts twice."""
+    given twice counts twice.  The ring-element reference assembler is
+    applied, and `_hom_matrix`'s integer rows are its lift."""
     rng = random.Random(13)
     nonzero = dict.fromkeys(itertools.product((True, False), (0, 1),
                                               (1, -1)), 0)
@@ -369,11 +404,15 @@ def test_hom_matrix_terms_match_matrix_products():
                     y = (f[n] @ block(n + shift) if left
                          else block(n + shift) @ f[n])
                     expect.extend((y if sign > 0 else -y).entries)
-                mat = _hom_matrix(ring, [slots], [(eq, [term])])
+                mat = ring_hom_matrix(ring, [slots], [(eq, [term])])
                 assert mat.apply(vec) == expect
+                assert _hom_matrix(ring, [slots], [(eq, [term])]).lift() \
+                    == integer_lift(mat)
                 # terms landing on the same entries add up
-                twice = _hom_matrix(ring, [slots], [(eq, [term, term])])
+                twice = ring_hom_matrix(ring, [slots], [(eq, [term, term])])
                 assert twice.apply(vec) == [y + y for y in expect]
+                assert _hom_matrix(ring, [slots], [(eq, [term, term])]) \
+                    .lift() == integer_lift(twice)
                 nonzero[left, shift, sign] += any(expect)
     assert min(nonzero.values()) >= 20, nonzero
     # a term whose block does not compose with the unknown is refused

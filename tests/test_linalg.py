@@ -12,6 +12,7 @@ from chaintrace.generate import random_complex, random_extension
 from chaintrace.linalg import LinearSolver, Matrix, ShapeError, _smith_log
 from chaintrace.rings import RingMismatchError, RingSpec
 from chaintrace.ses import _SesSystem
+from oracles import integer_lift, ring_hom_complex_matrix, ring_ses_matrix
 
 Z4 = RingSpec(4)
 Z5 = RingSpec(5)
@@ -493,18 +494,6 @@ def test_solver_keeps_entries_below_modulus():
         assert all(0 <= y < m for y in kept)
 
 
-def _solver_lift(mat):
-    """The integer system LinearSolver factors: the matrix itself over
-    Z/m, the doubled [[A0, 0], [A1, A0]] over Z/m[e]."""
-    c = mat.cols
-    rows = [mat.entries[i * c:(i + 1) * c] for i in range(mat.rows)]
-    lift = [[x.a for x in row] for row in rows]
-    if mat.ring.has_epsilon:
-        lift = ([row + [0] * c for row in lift]
-                + [[x.b for x in row] + row0 for row, row0 in zip(rows, lift)])
-    return lift
-
-
 class _DenseSolver(LinearSolver):
     """LinearSolver with U, S and V taken from _reference_snf and U and V
     applied by matrix products: the slow oracle for the operation logs."""
@@ -513,7 +502,7 @@ class _DenseSolver(LinearSolver):
         self.ring, self.mat = mat.ring, mat
         m = self._m = mat.ring.modulus
         self._eps = mat.ring.has_epsilon
-        lift = _solver_lift(mat)
+        lift = integer_lift(mat)
         n_eq = self._n_eq = len(lift)
         n_var = self._n_var = (2 if self._eps else 1) * mat.cols
         if lift:
@@ -561,7 +550,7 @@ def _cross_check_systems(rng):
                                lo=rng.randrange(2))
                 for _ in range(2))
             for k in (-1, 0, 1):
-                yield HomComplex(source, target, k).solver.mat
+                yield ring_hom_complex_matrix(HomComplex(source, target, k))
 
 
 def _reference_solvable(slow, b):
@@ -694,6 +683,35 @@ def test_sample_solution_always_solves():
             assert a.apply(list(got)) == b
 
 
+def test_homogeneous_draw_is_the_zero_rhs_draw():
+    """sample_solution(None, rng), which replays no right-hand side,
+    returns the vector that sample_solution draws for b = 0 from the same
+    rng state and leaves the rng in the same state, on Matrix systems and
+    on HomComplex's integer systems; so does HomComplex.sample_cycle."""
+    rng = random.Random(16)
+    systems = list(_cross_check_systems(rng))
+    for ring in (Z4, Z6, Z2E, Z3E):
+        for _ in range(5):
+            source, target = (random_complex(rng, ring, max_window=3,
+                                             max_rank=2, lo=rng.randrange(2))
+                              for _ in range(2))
+            systems += [HomComplex(source, target, k).solver.mat
+                        for k in (-1, 0, 1)]
+    for a in systems:
+        zero = [a.ring.zero()] * a.rows
+        seed = rng.random()
+        kernel, drawn = random.Random(seed), random.Random(seed)
+        x = LinearSolver(a).sample_solution(None, kernel)
+        assert x == LinearSolver(a).sample_solution(zero, drawn)
+        assert kernel.getstate() == drawn.getstate()
+    hom = HomComplex(source, target, 0)
+    kernel, drawn = random.Random(7), random.Random(7)
+    assert hom.sample_cycle(kernel) == hom.to_comps(
+        hom.solver.sample_solution([ring.zero()] * hom.solver.mat.rows,
+                                   drawn))
+    assert kernel.getstate() == drawn.getstate()
+
+
 def test_coset_key_is_image_invariant():
     rng = random.Random(14)
     for ring in (Z4, Z3E):
@@ -803,7 +821,7 @@ def test_transposed_counts_on_systems_the_integer_snf_cannot_finish():
     # count: |ker A^T| |R|^cols = |R|^rows |ker A| (|im A^T| = |im A|)
     ses = random_extension(random.Random("s:7"), Z4E, max_window=3,
                            max_rank=2)
-    full = _SesSystem(ses).matrix()
+    full = ring_ses_matrix(_SesSystem(ses))
     b = Matrix(Z4E, full.rows - 1, full.cols,
                full.entries[:(full.rows - 1) * full.cols])
     assert (b.rows, full.rows, full.cols) == (56, 57, 66)

@@ -1,8 +1,10 @@
+import pickle
 import re
 
 import pytest
 
 from chaintrace.rings import RingElem, RingMismatchError, RingSpec
+from conftest import count_calls
 
 Z4 = RingSpec(4)
 Z5 = RingSpec(5)
@@ -204,3 +206,29 @@ def test_zero_and_one_are_built_once_per_ring():
     assert repr(RingSpec(4)) == repr(Z4) == \
         "RingSpec(modulus=4, has_epsilon=False)"
     assert Z4 == RingSpec(4) and hash(Z4) == hash(RingSpec(4))
+
+
+def test_small_rings_intern_their_elements(monkeypatch):
+    # a ring of at most 2^16 elements is one object per value, and
+    # construction and arithmetic hand out its one element of each value;
+    # so a search run a second time builds no element at all
+    from chaintrace.search import SearchConfig, search_violation
+    cfg = SearchConfig(Z4, max_window=3, max_rank=2, trials=40)
+    first = search_violation(cfg)
+    built = count_calls(monkeypatch, RingElem, "__post_init__")
+    assert search_violation(cfg) == first
+    assert not built
+    assert RingSpec(4) is Z4 and RingSpec(3, True) is Z3E
+    assert pickle.loads(pickle.dumps(Z3E)) is Z3E
+    assert Z4.zero() is Z4.zero() is Z4.element(8)
+    assert Z3E.element(2, 1) + Z3E.one() is Z3E.element(0, 1)
+    assert repr(RingSpec(4)) == "RingSpec(modulus=4, has_epsilon=False)"
+    with pytest.raises(ValueError, match="^Z/4 has no e-part$"):
+        Z4.element(1, 1)
+    with pytest.raises(ValueError, match="^Z/4 has no e-part$"):
+        Z4._elements[5]         # the table refuses an e-part too
+    assert len(Z4._elements) == 4
+    # a larger ring builds a fresh element each time
+    big = RingSpec(257, True)
+    assert big._elements is None and big.element(3) is not big.element(3)
+    assert big.element(3) == big.element(3)

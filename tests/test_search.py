@@ -45,6 +45,7 @@ from chaintrace.ses import (
     _SesSystem,
 )
 from conftest import count_calls
+from oracles import integer_lift, ring_ses_matrix
 from test_ses import twist_map
 
 Z2 = RingSpec(2)
@@ -303,7 +304,8 @@ def test_first_violation_is_none_on_a_sequence_without_one():
 
 
 def test_system_matrix_matches_products_on_random_blocks():
-    """B with its defect row (`_SesSystem.matrix`), applied to random
+    """B with its defect row, as the reference `ring_ses_matrix` writes
+    it and `_SesSystem.matrix` lifts it, applied to random
     (u, v, w, h_L, h_R, h_C) that are mostly not cycles, equals D of each
     endo, each square's difference minus D(h) and tr v - tr u - tr w,
     evaluated by `_hom_d`, ChainMap products and `graded_trace`; on
@@ -344,8 +346,10 @@ def test_system_matrix_matches_products_on_random_blocks():
                 expect += p.flatten(diff - dh)
             expect.append(graded_trace(v) - graded_trace(u)
                           - graded_trace(w))
-            got = system.matrix().apply([x for vec in vecs for x in vec])
+            reference = ring_ses_matrix(system)
+            got = reference.apply([x for vec in vecs for x in vec])
             assert got == expect, ring
+            assert system.matrix().lift() == integer_lift(reference)
 
 
 def test_invalid_generated_sequence_is_an_internal_error(monkeypatch):

@@ -48,6 +48,7 @@ from chaintrace.ses import (
 )
 from chaintrace.textio import parse_document, ses_file
 from conftest import count_calls
+from oracles import integer_lift, ring_ses_matrix
 
 Z4 = RingSpec(4)
 Z2E = RingSpec(2, True)
@@ -542,6 +543,33 @@ def test_connecting_map_of_block_extension_is_the_twist():
     assert delta.target == ses.sub.shift(1)
     assert delta.comp(0) == M(Z3E, [[Z3E.epsilon()]])
     assert delta.validate()
+
+
+def test_counting_system_is_the_lift_of_the_ring_reference():
+    """`_SesSystem.matrix`, written straight into integer rows, is the
+    lift of B with its defect row summed in the ring (`tests/oracles.py`).
+    Over Z/m[e] the defect row lifts to two rows that are not adjacent:
+    row `rows - 1`, its a-part, and the last row, whose e-part half is
+    zero; dropping it leaves the lift of B."""
+    rng = random.Random("counting lift")
+    for ring in SIGNED_RINGS:
+        for _ in range(6):
+            system = _SesSystem(random_extension(rng, ring, max_window=3,
+                                                 max_rank=2))
+            full, reference = system.matrix(), ring_ses_matrix(system)
+            lift = full.lift()
+            assert (full.rows, full.cols) == (reference.rows, reference.cols)
+            assert lift == integer_lift(reference)
+            assert hash(full) == hash(reference)
+            r, c = full.rows, full.cols
+            defect = [x.a for x in reference.entries[(r - 1) * c:]]
+            b = full.top(r - 1).lift()
+            if ring.has_epsilon:
+                assert lift[r - 1] == defect + [0] * c
+                assert lift[-1] == [0] * c + defect
+                assert b == lift[:r - 1] + lift[r:-1]
+            else:
+                assert lift[-1] == defect and b == lift[:-1]
 
 
 def test_stored_boundary_is_invisible_to_eq_hash_and_repr():
