@@ -478,7 +478,8 @@ class HomComplex:
     maps into target[1], at k = 1; at k = -1, whose unknowns include
     fillers, D's image is the null-homotopic maps.  One solver serves all;
     its system is the IntegerSystem `_hom_matrix` writes, with no ring
-    element built, and a drawn cycle replays no right-hand side."""
+    element built, and neither a drawn nor an enumerated cycle replays a
+    right-hand side."""
 
     def __init__(self, source: PerfectComplex, target: PerfectComplex,
                  k: int):
@@ -515,8 +516,7 @@ class HomComplex:
         return tuple(comps)
 
     def iter_cycles(self) -> Iterator[tuple[Matrix, ...]]:
-        zero = [self.source.ring.zero()] * self.solver.mat.rows
-        for vec in self.solver.iter_solutions(zero):
+        for vec in self.solver.iter_solutions(None):
             yield self.to_comps(vec)
 
     def sample_cycle(self, rng: Random) -> tuple[Matrix, ...]:

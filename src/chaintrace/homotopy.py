@@ -50,20 +50,27 @@ class NullHomotopyProblem(HomComplex):
     def __init__(self, source: PerfectComplex, target: PerfectComplex):
         super().__init__(source, target, -1)
 
+    def _rhs(self, f: ChainMap) -> list[RingElem]:
+        """f as a right-hand side.  ValueError for a map into another
+        target, whose entries would read as some map into this one."""
+        if f.target != self.target:
+            raise ValueError("map is not into this problem's target")
+        return self.flatten(f)
+
     def coset_key(self, f: ChainMap) -> tuple[int, ...]:
         """Complete invariant of f modulo maps of the form d h + h d: two
         maps get the same key exactly when their difference is one, so
         equality of keys decides 'homotopic' without solving twice."""
-        return self.solver.coset_key(self.flatten(f))
+        return self.solver.coset_key(self._rhs(f))
 
     def solve_for(self, f: ChainMap) -> Optional[Homotopy]:
-        rep = self.solver.solve(self.flatten(f))
+        rep = self.solver.solve(self._rhs(f))
         if not rep.solvable:
             return None
         h = Homotopy(self.source, self.target, self.to_comps(rep.witness))
         # soundness re-check: f = d h + h d exactly, at each nonempty block
         dh = _hom_d(self.source, self.target, -1, h.comp)
-        if f.target != self.target or any(x != f.comp(n) for n, x in dh):
+        if any(x != f.comp(n) for n, x in dh):
             raise RuntimeError("null-homotopy witness failed re-evaluation; "
                                "solver bug")
         return h

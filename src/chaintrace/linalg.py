@@ -5,11 +5,11 @@ columns (a map to or from the zero module); such empty matrices behave
 correctly under every operation (det of the 0x0 matrix is 1, trace 0,
 products with an empty middle dimension are zero matrices).
 
-The solver lifts a system over Z/m to the integers; an IntegerSystem
-hands it the lift's rows directly, with no ring element.  A system over
-Z/m[e] is handled by splitting x = x0 + e*x1 and solving the doubled
-block system  [[A0, 0], [A1, A0]] [x0; x1] = [b0; b1]  over Z/m, which is
-an exact translation of the original problem.  Counts and solutions come
+The solver works on integer rows only: an IntegerSystem hands them over
+directly, with no ring element, and a Matrix is written as one on
+arrival.  A system over Z/m[e] becomes, with x = x0 + e*x1, the doubled
+block system  [[A0, 0], [A1, A0]] [x0; x1] = [b0; b1]  over Z/m, an
+exact translation of the original problem.  Counts and solutions come
 from eliminating the lift mod each prime power p^k of m with a pivot of
 least p-valuation, so no entry reaches p^k (Storjohann & Mulders, ESA
 1998), joined by the CRT; random and enumerated solutions come from its
@@ -477,9 +477,9 @@ class IntegerSystem:
     """A rows x cols matrix over the ring written as integer rows: `a`
     holds the entries' a-parts and, over Z/m[e] only, `e` their e-parts,
     each in [0, m).  `lift()` is the integer system that LinearSolver
-    factors (the module docstring has it).  Its hash is that of the Matrix
-    with the same entries, so a set of hashes counts one system once,
-    whichever of the two types carried it."""
+    factors (the module docstring has it).  The hash is that of the
+    Matrix with the same entries, for a tracer that hashes each caller's
+    argument: one system counts once, as a Matrix or as one of these."""
 
     ring: RingSpec
     cols: int
@@ -539,9 +539,10 @@ class SolutionReport:
 class LinearSolver:
     """Factor a matrix on first use, then answer many right-hand sides.
 
-    The matrix comes as a Matrix or already as an IntegerSystem, which is
-    how HomComplex writes its systems.  Both eliminations factor one
-    integer lift of it (the module docstring has it) as U*lift*V = S
+    The matrix comes as an IntegerSystem, which is how HomComplex writes
+    its systems, or as a Matrix, which is written as integer rows on
+    arrival, so `mat` is always an IntegerSystem.  Both eliminations
+    factor its integer lift (the module docstring has it) as U*lift*V = S
     diagonal mod some q, keeping U and V as operation logs that a query
     replays on its own vector.  With c = U b, s_i y_i = c_i (mod q) is
     solvable iff g_i = gcd(s_i, q) divides c_i, and then has exactly g_i
@@ -552,30 +553,28 @@ class LinearSolver:
     mod each prime power q of m (_local_log) and join solutions by the
     CRT.  sample_solution and iter_solutions replay the integer Smith log
     (_smith_log, q = m), whose exact S fixes the samples drawn and the
-    enumeration order.  Each elimination runs at the first query that
-    needs it: a solver only drawn from never counts, and one only counted
-    or solved never eliminates over the integers.
+    enumeration order; both start from one particular solution, and a
+    right-hand side of None is the zero one, with nothing to replay.
+    Each elimination runs at the first query that needs it: a solver
+    only drawn from never counts, and one only counted or solved never
+    eliminates over the integers.
     """
 
     def __init__(self, mat: Matrix | IntegerSystem):
+        if isinstance(mat, Matrix):
+            mat = IntegerSystem.of(mat)
         self.ring, self.mat = mat.ring, mat
         self._m = self.ring.modulus
         self._eps = self.ring.has_epsilon
         width = 2 if self._eps else 1
         self._n_eq, self._n_var = width * mat.rows, width * mat.cols
 
-    def _lift(self) -> list[list[int]]:
-        mat = self.mat
-        if not isinstance(mat, IntegerSystem):
-            mat = IntegerSystem.of(mat)
-        return mat.lift()
-
     @cached_property
     def _local(self) -> list[tuple[int, int, list[int], list[int],
                                    list[tuple[int, int]]]]:
         """(q, e, row log, column log, pivots) of the lift eliminated mod
         each prime power q of m, where e = 1 mod q and 0 mod m / q."""
-        m, lift, out = self._m, self._lift(), []
+        m, lift, out = self._m, self.mat.lift(), []
         todo = [p ** v for p, v in self.ring._prime_powers]
         for q in todo:                  # a split appends its two primes
             got = _local_log(lift, q)
@@ -598,15 +597,13 @@ class LinearSolver:
 
     def _integer_log(self) -> None:
         """Run the integer Smith elimination, once, for the first draw."""
-        if hasattr(self, "_row_gs"):
+        if hasattr(self, "_gs"):
             return
         m, k = self._m, min(self._n_eq, self._n_var)
-        s, self._row_ops, self._col_ops = _smith_log(self._lift(), m)
+        s, self._row_ops, self._col_ops = _smith_log(self.mat.lift(), m)
         # s_i mod m keeps gcd(s_i, m) and (s_i / g) mod (m / g) exact
         self._diag = [s[i][i] % m for i in range(k)]
         self._gs = [gcd(d, m) for d in self._diag]
-        # one gcd per equation row: rows past the diagonal demand c_i = 0
-        self._row_gs = self._gs + [m] * (self._n_eq - k)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -624,18 +621,21 @@ class LinearSolver:
         """U b mod m for the integer log's U, in place."""
         return _replay_rows(self._row_ops, rhs, self._m)
 
-    def _particular_y(self, c: list[int]) -> Optional[list[int]]:
-        m = self._m
+    def _particular_y(self, b: Optional[Sequence[RingElem]]
+                      ) -> Optional[list[int]]:
+        """A y with S y = U b mod m, or None when b is unsolvable (as in
+        solve: c = U b vanishes past the diagonal, g_i divides c_i on it);
+        b = None is the zero right-hand side.  Runs the integer log."""
+        self._integer_log()
         y = [0] * self._n_var
-        for i, ci in enumerate(c):
-            g = self._row_gs[i]
-            if ci % g:
-                return None
-            if i < len(self._diag):
-                mm = m // g
-                if mm > 1:
-                    s_red = (self._diag[i] // g) % mm
-                    y[i] = (ci // g) * pow(s_red, -1, mm) % mm
+        if b is None:
+            return y
+        c, m, k = self._transform(self._rhs_ints(b)), self._m, len(self._diag)
+        if any(c[k:]) or any(ci % g for ci, g in zip(c, self._gs)):
+            return None
+        for i, (ci, d, g) in enumerate(zip(c, self._diag, self._gs)):
+            # pow(x, -1, 1) is 0, the only value mod 1, when g_i = m
+            y[i] = ci // g * pow(d // g, -1, m // g) % (m // g)
         return y
 
     def _y_to_elems(self, y: list[int]) -> tuple[RingElem, ...]:
@@ -685,13 +685,9 @@ class LinearSolver:
         """Uniformly random solution, or None when unsolvable.  b = None
         stands for the zero right-hand side: the same draws from rng give
         the same solution, with no right-hand side to replay."""
-        self._integer_log()
-        if b is None:
-            y = [0] * self._n_var
-        else:
-            y = self._particular_y(self._transform(self._rhs_ints(b)))
-            if y is None:
-                return None
+        y = self._particular_y(b)
+        if y is None:
+            return None
         m = self._m
         for i, g in enumerate(self._gs):
             y[i] = (y[i] + rng.randrange(g) * (m // g)) % m
@@ -700,15 +696,15 @@ class LinearSolver:
         return self._y_to_elems(y)
 
     def iter_solutions(
-        self, b: Sequence[RingElem]
+        self, b: Optional[Sequence[RingElem]]
     ) -> Iterator[tuple[RingElem, ...]]:
         """All solutions, deterministically ordered by the integer log;
         the first one yielded is its particular solution, which is in
-        general not solve()'s witness.  Caller is responsible for keeping
+        general not solve()'s witness.  b = None stands for the zero
+        right-hand side, as in sample_solution, and yields the same
+        solutions in the same order.  Caller is responsible for keeping
         the solution count within reach."""
-        self._integer_log()
-        c = self._transform(self._rhs_ints(b))
-        base = self._particular_y(c)
+        base = self._particular_y(b)
         if base is None:
             return
         m = self._m

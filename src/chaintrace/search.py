@@ -203,9 +203,8 @@ def _complexes_with_ranks(ring: RingSpec, ranks: tuple[int, ...]
         # columns of the previous one: sample the kernel of its transpose
         solver = LinearSolver(prev.transpose())
         rows, cols = ranks[i + 1], ranks[i]
-        zero_rhs = [ring.zero()] * prev.cols
         # zero rows have the one empty choice, however big the kernel
-        row_choices = list(solver.iter_solutions(zero_rhs)) if rows else []
+        row_choices = list(solver.iter_solutions(None)) if rows else []
         for combo in itertools.product(row_choices, repeat=rows):
             d = Matrix(ring, rows, cols,
                        tuple(x for row in combo for x in row))

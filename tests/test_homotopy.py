@@ -159,17 +159,17 @@ def test_prepared_problem_refuses_a_map_out_of_another_complex():
 
 def test_solve_for_refuses_a_witness_that_fails_re_evaluation(monkeypatch):
     # f = e at degree 1 is D(h) for h^1 = 1.  A map into another target
-    # with the same ranks reads as the same right-hand side, and a solver
-    # whose witness is off by one in its first entry gives D(h) = 2e: the
-    # re-evaluation refuses both
+    # with the same ranks would read as the same right-hand side: it is
+    # refused before solving.  A solver whose witness is off by one in its
+    # first entry gives D(h) = 2e: the re-evaluation refuses it
     k, l = PerfectComplex.single(Z3E, 1, 1), two_term(Z3E, Z3E.epsilon())
     problem = NullHomotopyProblem(k, l)
     e = {1: M(Z3E, [[Z3E.epsilon()]])}
     f = ChainMap.build(k, l, e)
     assert problem.solve_for(f) == Homotopy.build(k, l, {1: M(Z3E, [[1]])})
-    message = "^null-homotopy witness failed re-evaluation; solver bug$"
-    with pytest.raises(RuntimeError, match=message):
+    with pytest.raises(ValueError, match="not into this problem's target"):
         problem.solve_for(ChainMap.build(k, two_term(Z3E, 1), e))
+    message = "^null-homotopy witness failed re-evaluation; solver bug$"
     solve = LinearSolver.solve
 
     def off_by_one(self, rhs):
@@ -181,6 +181,21 @@ def test_solve_for_refuses_a_witness_that_fails_re_evaluation(monkeypatch):
     monkeypatch.setattr(LinearSolver, "solve", off_by_one)
     with pytest.raises(RuntimeError, match=message):
         problem.solve_for(f)
+
+
+def test_null_homotopy_problem_refuses_a_map_into_another_target():
+    # over Z/4, f^1 = 1 from K = Z/4 in degree 1 into L2 = (Z/4 --2--> Z/4)
+    # is not null-homotopic, but the same entries into L = (Z/4 --1-->
+    # Z/4) are d h for h^1 = 1: read against L's problem, f would pass
+    k = PerfectComplex.single(Z4, 1, 1)
+    l, l2 = two_term(Z4, 1), two_term(Z4, 2)
+    f = ChainMap.build(k, l2, {1: M(Z4, [[1]])})
+    assert find_null_homotopy(f) is None
+    problem = NullHomotopyProblem(k, l)
+    assert problem.coset_key(ChainMap(k, l, f.comps)) == (0,)
+    for query in (problem.coset_key, problem.solve_for):
+        with pytest.raises(ValueError, match="not into this problem's target"):
+            query(f)
 
 
 def brute_null_homotopy_images(src, tgt):

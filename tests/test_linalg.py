@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from chaintrace.complexes import HomComplex
 from chaintrace.generate import random_complex, random_extension
-from chaintrace.linalg import LinearSolver, Matrix, ShapeError, _smith_log
+from chaintrace.linalg import (IntegerSystem, LinearSolver, Matrix, ShapeError,
+                               _smith_log)
 from chaintrace.rings import RingMismatchError, RingSpec
 from chaintrace.ses import _SesSystem
 from oracles import integer_lift, ring_hom_complex_matrix, ring_ses_matrix
@@ -514,7 +515,6 @@ class _DenseSolver(LinearSolver):
         k = min(n_eq, n_var)
         self._diag = [s[i][i] % m for i in range(k)]
         self._gs = [gcd(d, m) for d in self._diag]
-        self._row_gs = self._gs + [m] * (n_eq - k)
         self.kernel_count = prod(self._gs, start=1) * m ** (n_var - k)
 
     def _transform(self, rhs):
@@ -687,7 +687,10 @@ def test_homogeneous_draw_is_the_zero_rhs_draw():
     """sample_solution(None, rng), which replays no right-hand side,
     returns the vector that sample_solution draws for b = 0 from the same
     rng state and leaves the rng in the same state, on Matrix systems and
-    on HomComplex's integer systems; so does HomComplex.sample_cycle."""
+    on HomComplex's integer systems; so does HomComplex.sample_cycle.
+    iter_solutions(None) enumerates what iter_solutions(b = 0) does, in
+    the same order.  A Matrix is written as IntegerSystem.of it on
+    arrival, so its solver draws and enumerates as that system's does."""
     rng = random.Random(16)
     systems = list(_cross_check_systems(rng))
     for ring in (Z4, Z6, Z2E, Z3E):
@@ -704,6 +707,19 @@ def test_homogeneous_draw_is_the_zero_rhs_draw():
         x = LinearSolver(a).sample_solution(None, kernel)
         assert x == LinearSolver(a).sample_solution(zero, drawn)
         assert kernel.getstate() == drawn.getstate()
+        solver = LinearSolver(a)
+        assert list(itertools.islice(solver.iter_solutions(None), 64)) == \
+            list(itertools.islice(solver.iter_solutions(zero), 64))
+        if isinstance(a, Matrix):
+            rows = IntegerSystem.of(a)
+            by_rows, by_matrix = LinearSolver(rows), LinearSolver(a)
+            assert by_matrix.mat == rows
+            for b in (None, zero, a.apply([a.ring.one()] * a.cols)):
+                assert by_matrix.sample_solution(b, random.Random(seed)) \
+                    == by_rows.sample_solution(b, random.Random(seed))
+                assert list(itertools.islice(by_matrix.iter_solutions(b),
+                                             64)) == \
+                    list(itertools.islice(by_rows.iter_solutions(b), 64))
     hom = HomComplex(source, target, 0)
     kernel, drawn = random.Random(7), random.Random(7)
     assert hom.sample_cycle(kernel) == hom.to_comps(

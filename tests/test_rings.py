@@ -208,6 +208,17 @@ def test_zero_and_one_are_built_once_per_ring():
     assert Z4 == RingSpec(4) and hash(Z4) == hash(RingSpec(4))
 
 
+def test_other_types_of_ring_value_leave_the_interned_rings_intact():
+    # 4.0 == 4 and 1 == True, with equal hashes: were RingSpec(4.0) and
+    # RingSpec(4, 1) handed the interned ring, they would write their own
+    # field values into it
+    z4, z4e = RingSpec(4), RingSpec(4, True)
+    assert RingSpec(4.0) is not z4 and RingSpec(4, 1) is not z4e
+    assert str(z4) == "Z/4" and str(z4e) == "Z/4[e]"
+    assert z4e.has_epsilon is True
+    assert RingSpec(4, 1) == RingSpec(4, True)
+
+
 def test_small_rings_intern_their_elements(monkeypatch):
     # a ring of at most 2^16 elements is one object per value, and
     # construction and arithmetic hand out its one element of each value;
