@@ -61,10 +61,11 @@ def random_complex(rng: Random, ring: RingSpec, *, max_window: int,
         if prev is None:
             d = random_matrix(rng, ring, rows, cols)
         else:
-            solver = LinearSolver(prev.transpose())
             ents: list[RingElem] = []
-            for _ in range(rows):
-                ents.extend(solver.sample_solution(None, rng))
+            if rows:    # no rows: nothing to draw, so nothing to factor
+                solver = LinearSolver(prev.transpose())
+                for _ in range(rows):
+                    ents.extend(solver.sample_solution(None, rng))
             d = Matrix(ring, rows, cols, tuple(ents))
         diffs[lo + i] = d
         prev = d if cols else None

@@ -28,13 +28,16 @@ square-zero on cohomology, hence traceless over a field) — while the
 classic square-zero-twist instance still sails through all three
 squares with a nonzero defect.  That asymmetry is the whole point.
 Verdicts are those of the triple's `AdditivityReport` (ses.check_triple):
-examined is `squares_hold`, a violation `is_violation`.  Unlogged, a
-randomized trial stops at its first failing square (see search_violation).
+examined is `squares_hold`, a violation `is_violation`.  Every logged
+search is one stream of such reports, counted and logged by one tally;
+unlogged, a randomized trial stops at its first failing square instead
+(see search_violation).
 
 Exhaustive mode walks complexes (windows anchored at degree 0 —
-traces are blind to shifts) and twists, one system per sequence, and
-counts each sequence's triples in closed form, without visiting them
-(see ses._SesSystem).  Triples are visited one by one only for a log,
+traces are blind to shifts) and twists, one system per sequence, the
+sequences of one pair (K, M) sharing its connecting problem, and counts
+each sequence's triples in closed form, without visiting them (see
+ses._SesSystem).  Triples are visited one by one only for a log,
 whose sweep reads the systems admission built to charge them, and to
 find the first violation, on the first sequence with one.
 """
@@ -54,11 +57,10 @@ from .complexes import (
     _VALID,
 )
 from .generate import random_extension
-from .homotopy import graded_trace
+from .homotopy import NullHomotopyProblem, graded_trace
 from .linalg import LinearSolver, Matrix
 from .rings import RingSpec
 from .ses import (
-    AdditivityReport,
     CocycleSpace,
     EndoTriple,
     ShortExactSequence,
@@ -66,7 +68,6 @@ from .ses import (
     check_triple,
     make_extension,
     validate_ses,
-    _Pair,
     _SesSystem,
 )
 
@@ -200,11 +201,11 @@ def _complexes_with_ranks(ring: RingSpec, ranks: tuple[int, ...]
             yield PerfectComplex.build(ring, 0, ranks, dict(acc))
             return
         # rows of the next differential must pair to zero against the
-        # columns of the previous one: sample the kernel of its transpose
-        solver = LinearSolver(prev.transpose())
-        rows, cols = ranks[i + 1], ranks[i]
+        # columns of the previous one: sample the kernel of its transpose;
         # zero rows have the one empty choice, however big the kernel
-        row_choices = list(solver.iter_solutions(None)) if rows else []
+        rows, cols = ranks[i + 1], ranks[i]
+        row_choices = (list(LinearSolver(prev.transpose())
+                            .iter_solutions(None)) if rows else [])
         for combo in itertools.product(row_choices, repeat=rows):
             d = Matrix(ring, rows, cols,
                        tuple(x for row in combo for x in row))
@@ -222,12 +223,15 @@ def _complexes_with_ranks(ring: RingSpec, ranks: tuple[int, ...]
 
 def _tally(classified: Iterable[Violation],
            log: Optional[LogLine]) -> SearchOutcome:
-    """Count a stream of classified triples, logging one line each."""
+    """Count a stream of classified triples, logging one line each:
+    "index<TAB>left+right+connecting<TAB>defect"."""
     examined = violations = 0
     first: Optional[Violation] = None
     for index, (ses, triple, report) in enumerate(classified):
         if log is not None:
-            log(_log_line(index, report))
+            log(f"{index}\t{report.left.describe()}+"
+                f"{report.right.describe()}+"
+                f"{report.connecting.describe()}\t{report.defect}")
         if not report.squares_hold:
             continue             # a failing square: discarded, not examined
         examined += 1
@@ -236,11 +240,6 @@ def _tally(classified: Iterable[Violation],
             if first is None:
                 first = (ses, triple, report)
     return SearchOutcome(violations, first, examined)
-
-
-def _log_line(index: int, report: AdditivityReport) -> str:
-    return (f"{index}\t{report.left.describe()}+{report.right.describe()}"
-            f"+{report.connecting.describe()}\t{report.defect}")
 
 
 def _capped_power(base: int, exp: int, cap: int) -> int:
@@ -318,11 +317,13 @@ def _admitted_systems(cfg: SearchConfig, *, per_triple: bool
 
 def _walk(all_cs: list[PerfectComplex]) -> Iterator[_SesSystem]:
     """The system of every extension of one complex in `all_cs` by
-    another, in order, sharing one context per pair.  Each is valid by
-    construction: a failing one is a bug, not a sequence to skip."""
+    another, in order, the sequences of one pair (K, M) sharing its
+    connecting problem Hom(M, K[1]), which `counts` reads for each.  Each
+    is valid by construction: a failing one is a bug, not a sequence to
+    skip."""
     for sub in all_cs:
         for quo in all_cs:
-            pair = _Pair(sub, quo)
+            conn_prob = NullHomotopyProblem(quo, sub.shift(1))
             for twist in CocycleSpace(sub, quo).iter_all():
                 ses = make_extension(sub, quo, twist)
                 check = validate_ses(ses)
@@ -330,7 +331,7 @@ def _walk(all_cs: list[PerfectComplex]) -> Iterator[_SesSystem]:
                     raise RuntimeError(f"generated sequence fails "
                                        f"validation: {check.message}; "
                                        f"construction bug")
-                yield _SesSystem(ses, pair)
+                yield _SesSystem(ses, conn_prob)
 
 
 def _search_exhaustive(cfg: SearchConfig,
@@ -356,27 +357,34 @@ def _search_exhaustive(cfg: SearchConfig,
     return SearchOutcome(violations, first, examined)
 
 
-def _search_randomized(cfg: SearchConfig,
-                       log: Optional[LogLine]) -> SearchOutcome:
-    examined = violations = 0
-    first: Optional[Violation] = None
+def _trials(cfg: SearchConfig
+            ) -> Iterator[tuple[_SesSystem, Random, ChainMap, ChainMap]]:
+    """Each randomized trial's system, its rng and its draws u and v; the
+    trial reseeds as f"{seed}:{trial}", so no draw depends on another
+    trial's."""
     for trial in range(cfg.trials):
         rng = Random(f"{cfg.seed}:{trial}")
         system = _SesSystem(random_extension(
             rng, cfg.ring, max_window=cfg.max_window, max_rank=cfg.max_rank))
         u = system.u_space.sample(rng)
-        v = system.v_space.sample(rng)
-        # unlogged, each square is decided once the one before holds; w is
-        # the trial's last draw, so skipping it moves no other
-        if log is None and not system.left(u, v).holds:
+        yield system, rng, u, system.v_space.sample(rng)
+
+
+def _search_randomized(cfg: SearchConfig,
+                       log: Optional[LogLine]) -> SearchOutcome:
+    trials = _trials(cfg)
+    if log is not None:     # a line shows all three squares of every trial
+        return _tally((s.classify(EndoTriple(u, v, s.w_space.sample(rng)))
+                       for s, rng, u, v in trials), log)
+    examined = violations = 0
+    first: Optional[Violation] = None
+    for system, rng, u, v in trials:
+        # each square is decided once the one before holds; w is the
+        # trial's last draw, so skipping it moves no other
+        if not system.left(u, v).holds:
             continue
         w = system.w_space.sample(rng)
-        if log is not None:     # a line shows all three squares
-            report = system.report(EndoTriple(u, v, w))
-            log(_log_line(trial, report))
-            if not report.squares_hold:
-                continue
-        elif not (system.right(v, w).holds and system.connecting(u, w).holds):
+        if not (system.right(v, w).holds and system.connecting(u, w).holds):
             continue
         examined += 1
         if graded_trace(v) - graded_trace(u) - graded_trace(w):
@@ -395,10 +403,11 @@ def search_violation(cfg: SearchConfig,
     it is a *violation* when it is examined and its trace defect is
     nonzero.  Deterministic given the config, including across log
     settings — except that `log`, when given, receives one line per
-    classified triple ("index<TAB>left+right+connecting<TAB>defect"),
-    which in exhaustive mode forces the slow one-by-one sweep and a
-    per-triple budget.  Exhaustive mode raises CeilingExceededError
-    before its sweep when a count passes cfg.ceiling.
+    classified triple ("index<TAB>left+right+connecting<TAB>defect"):
+    every triple gets its full report, which in exhaustive mode forces
+    the slow one-by-one sweep and a per-triple budget.  Exhaustive mode
+    raises CeilingExceededError before its sweep when a count passes
+    cfg.ceiling.
     """
     if cfg.mode == "exhaustive":
         return _search_exhaustive(cfg, log)

@@ -285,18 +285,6 @@ class AdditivityReport:
         return self.squares_hold and not self.additive
 
 
-class _Pair:
-    """The connecting problem Hom(M, K[1]) of a pair (K, M), built on first
-    use and shared by every sequence K -> L -> M."""
-
-    def __init__(self, sub: PerfectComplex, quotient: PerfectComplex):
-        self.sub, self.quotient = sub, quotient
-
-    @cached_property
-    def connecting(self) -> NullHomotopyProblem:
-        return NullHomotopyProblem(self.quotient, self.sub.shift(1))
-
-
 Violation = tuple[ShortExactSequence, EndoTriple, AdditivityReport]
 
 
@@ -304,15 +292,18 @@ class _SesSystem:
     """Everything asked of one sequence K -> L -> M (endos assumed to be
     chain endomorphisms): its boundary delta, a null-homotopy problem per
     square, left K -> L and right L -> M of the sequence, connecting
-    M -> K[1] of its pair (K, M), and its three endo spaces.  Each is
-    built on first use: a triple whose squares all commute on the nose
+    M -> K[1] of its pair (K, M), which the pair's sequences may share
+    as `conn_prob`, and its three endo spaces.  Each is built on first
+    use unless given: a triple whose squares all commute on the nose
     builds no problem, and `counts` builds no endo space.  In block form
     the left and right squares' differences are read off v's blocks;
     any other sequence composes v with j and q."""
 
-    def __init__(self, ses: ShortExactSequence, pair: Optional[_Pair] = None):
+    def __init__(self, ses: ShortExactSequence,
+                 conn_prob: Optional[NullHomotopyProblem] = None):
         self.ses = ses
-        self.pair = pair or _Pair(ses.sub, ses.quotient)
+        if conn_prob is not None:
+            self.conn_prob = conn_prob
 
     @cached_property
     def delta(self) -> ChainMap:
@@ -328,7 +319,7 @@ class _SesSystem:
 
     @cached_property
     def conn_prob(self) -> NullHomotopyProblem:
-        return self.pair.connecting
+        return NullHomotopyProblem(self.ses.quotient, self.ses.sub.shift(1))
 
     @cached_property
     def u_space(self) -> ChainMapSpace:
@@ -439,10 +430,7 @@ class _SesSystem:
 
     def first_violation(self) -> Optional[Violation]:
         """The first examined triple with nonzero defect, or None."""
-        for ses, triple, report in self.triples():
-            if report.is_violation:
-                return ses, triple, report
-        return None
+        return next((c for c in self.triples() if c[2].is_violation), None)
 
     def matrix(self) -> IntegerSystem:
         """B of `counts` with the defect row last: block rows D(u), D(v),

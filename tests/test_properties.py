@@ -25,6 +25,7 @@ from chaintrace.complexes import (
 )
 from chaintrace.generate import (
     random_complex,
+    random_extension,
     random_homotopy,
     random_matrix,
     random_strict_triple,
@@ -41,11 +42,13 @@ from chaintrace.search import (
 from chaintrace.ses import (
     CocycleSpace,
     EndoTriple,
+    ShortExactSequence,
     _SesSystem,
     check_triple,
     connecting_map,
     extension_twist,
     make_extension,
+    validate_ses,
 )
 from chaintrace.textio import parse_document, ses_file
 from test_complexes import brute_hom_cycles
@@ -203,6 +206,49 @@ def test_coset_keys_agree_exactly_on_homotopic_maps(ring, seed):
     for g in (moved, space.sample(rng)):
         same = problem.coset_key(f) == problem.coset_key(g)
         assert same == (problem.solve_for(f - g) is not None)
+
+
+# -- counts under duality -----------------------------------------------------
+
+
+def dual_complex(k):
+    """K* = Hom(K, R): (K*)^(-n) = (K^n)*, d*^(-n-1) the transpose of d^n."""
+    return PerfectComplex.build(k.ring, -k.hi, k.ranks[::-1], {
+        -n - 1: k.diff(n).transpose() for n in k.degrees()[:-1]})
+
+
+def dual_map(f, source, target):
+    """f*: B* -> A* of a chain map f: A -> B, (f*)^(-n) the transpose of
+    f^n."""
+    return ChainMap(source, target, tuple(
+        f.comp(-n).transpose() for n in source.degrees()))
+
+
+def test_counts_are_invariant_under_duality():
+    # the dual of K -> L -> M is M* -> L* -> K*.  Each degree splits, so
+    # the dual is exact, and transposing is a bijection of every Hom
+    # module that commutes with D up to sign: it sends a triple (u, v, w)
+    # to (w*, v*, u*), swaps the visible squares, dualizes the connecting
+    # one and keeps the traces.  Most duals are out of block form, so
+    # their boundary comes from the section solve: an oracle for that
+    # path that needs no per-triple sweep
+    out_of_block = violating = 0
+    for ring in (RingSpec(4), RingSpec(3, True), RingSpec(6),
+                 RingSpec(2, True), RingSpec(9)):
+        rng = random.Random(f"dual:{ring}")
+        for _ in range(20):
+            ses = random_extension(rng, ring, max_window=3, max_rank=2)
+            k, l, m = (dual_complex(c)
+                       for c in (ses.sub, ses.middle, ses.quotient))
+            dual = ShortExactSequence(m, l, k,
+                                      dual_map(ses.projection, m, l),
+                                      dual_map(ses.inclusion, l, k))
+            assert validate_ses(dual)
+            counts = _SesSystem(ses).counts()
+            assert _SesSystem(dual).counts() == counts
+            out_of_block += not dual._in_block_form
+            violating += bool(counts[1])
+    assert out_of_block and violating
 
 
 # -- chain-map arithmetic against its blocks ---------------------------------

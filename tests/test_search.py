@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+import chaintrace.generate
 import chaintrace.search
 import chaintrace.ses as ses_module
 from chaintrace.complexes import (ChainMap, ChainMapSpace, Homotopy,
@@ -28,6 +29,7 @@ from chaintrace.search import (
     CeilingExceededError,
     SearchConfig,
     SearchOutcome,
+    _complexes_with_ranks,
     _tally,
     build_counterexample,
     certify,
@@ -228,6 +230,25 @@ def test_iter_all_complexes_census():
     assert len(wider) == len(set(wider)) == 11
     for k in wider:
         assert k.validate()
+
+
+def test_a_differential_without_rows_factors_nothing(monkeypatch):
+    # a differential with no rows has the one empty choice, so neither the
+    # enumeration nor the draw factors the differential before it
+    listed = count_calls(monkeypatch, chaintrace.search, "LinearSolver")
+    assert len(list(_complexes_with_ranks(Z2, (1, 0, 1)))) == 1
+    assert len(listed) == 1          # d^1, into degree 2, has a row
+    drawn = count_calls(monkeypatch, chaintrace.generate, "LinearSolver")
+    rng, replay = random.Random(24), random.Random(24)
+    k = random_complex(rng, Z2, max_window=3, max_rank=2)
+    # ranks (1, 2, 0): a uniform 2 x 1 d^0, then a d^1 with no rows; the
+    # draws are exactly those, with nothing drawn for d^1
+    assert replay.randint(1, 3) == 3
+    assert [replay.randint(0, 2) for _ in range(3)] == [1, 2, 0]
+    d0 = [random_element(replay, Z2) for _ in range(2)]
+    assert rng.getstate() == replay.getstate()
+    assert k.ranks == (1, 2) and k.diffs == (M(Z2, [[x] for x in d0]),)
+    assert drawn == []
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +474,15 @@ def count_inits(monkeypatch, cls):
 def test_each_boundary_and_connecting_problem_is_built_once(monkeypatch):
     # Z/3 w2r1 again: make_extension builds and checks each of the 49
     # boundaries, which the sweep reuses, and the sequences of one pair
-    # (K, M) of the 5 complexes share its connecting problem Hom(M, K[1])
+    # (K, M) of the 5 complexes share its connecting problem Hom(M, K[1]),
+    # which the walk builds
     boundaries = count_calls(monkeypatch, ses_module, "_boundary")
     problems = count_calls(monkeypatch, ses_module, "NullHomotopyProblem")
+    walked = count_calls(monkeypatch, chaintrace.search,
+                         "NullHomotopyProblem")
     cfg = SearchConfig(Z3, max_window=2, max_rank=1, mode="exhaustive")
     assert search_violation(cfg) == SearchOutcome(0, None, 20743)
+    problems += walked
     assert len(boundaries) == 49
     # K[1] starts at degree -1 unless K = 0, so no left or right problem
     # has the (source, target) of a connecting problem with K nonzero
@@ -524,7 +549,6 @@ def test_strict_squares_build_no_problem():
     assert (report.left.strict and report.right.strict
             and report.connecting.strict)
     assert not any(name in vars(system) for name in names)
-    assert "connecting" not in vars(system.pair)
     # the counterexample's left square is not strict: only its problem is
     # built, and the verdicts equal those on eagerly built problems
     ses, triple, _ = build_counterexample(Z4)
@@ -623,6 +647,19 @@ def test_unlogged_trials_stop_at_the_first_failing_square(monkeypatch):
     assert built == problems
     # three traces per examined triple, and the first violation's report
     assert (len(traces), len(reported)) == (3 * examined, 3)
+
+
+def test_logged_trials_are_the_reference_sweep(monkeypatch):
+    # Z/4 w3r2, 60 trials, 6 of them examined and one a violation: with a
+    # log, each trial's full report is taken once and counted by _tally,
+    # so the search takes no trace of its own and builds no second report
+    cfg = SearchConfig(Z4, max_window=3, max_rank=2, trials=60)
+    expected = _tally(_reported_trials(cfg), None)
+    assert expected.instances_examined == 6 and expected.violations_found
+    traces = count_calls(monkeypatch, chaintrace.search, "graded_trace")
+    reported = count_calls(monkeypatch, ses_module, "graded_trace")
+    assert search_violation(cfg, log=[].append) == expected
+    assert (len(traces), len(reported)) == (0, 3 * cfg.trials)
 
 
 def test_unlogged_trials_compose_nothing_with_the_block_maps(monkeypatch):
