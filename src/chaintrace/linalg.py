@@ -456,6 +456,17 @@ def _replay_rows(ops: list[int], v: list[int], q: int) -> list[int]:
     return v
 
 
+def _span_count(rows: list[list[int]], q: int) -> int:
+    """The size of the subgroup of (Z/q)^len(rows) that the columns of
+    rows span: the product of q / g_i over the pivots g_i of their
+    elimination mod q, or, where a pivot splits q into two primes, the
+    product of the counts mod each."""
+    got = _local_log(rows, q)
+    if isinstance(got, int):
+        return _span_count(rows, got) * _span_count(rows, q // got)
+    return prod(q // g for g, _ in got[2])
+
+
 def _replay_cols(ops: list[int], y: list[int], q: int) -> list[int]:
     """V y mod q, by replaying the column log ops backwards on y in place."""
     it = reversed(ops)
@@ -549,12 +560,13 @@ class LinearSolver:
     solutions; rows past the diagonal need c_i = 0, and columns past it
     are free (factor q each).
 
-    kernel_count, image_count, solve, coset_key and is_solvable eliminate
-    mod each prime power q of m (_local_log) and join solutions by the
-    CRT.  sample_solution and iter_solutions replay the integer Smith log
-    (_smith_log, q = m), whose exact S fixes the samples drawn and the
-    enumeration order; both start from one particular solution, and a
-    right-hand side of None is the zero one, with nothing to replay.
+    kernel_count, image_count, kernel_image_count, solve, coset_key and
+    is_solvable eliminate mod each prime power q of m (_local_log) and
+    join solutions by the CRT.  sample_solution and iter_solutions
+    replay the integer Smith log (_smith_log, q = m), whose exact S fixes
+    the samples drawn and the enumeration order; both start from one
+    particular solution, and a right-hand side of None is the zero one,
+    with nothing to replay.
     Each elimination runs at the first query that needs it: a solver
     only drawn from never counts, and one only counted or solved never
     eliminates over the integers.
@@ -594,6 +606,32 @@ class LinearSolver:
     def image_count(self) -> int:
         """Exact size of the image, via |domain| = kernel * image."""
         return self.ring.cardinality ** self.mat.cols // self.kernel_count
+
+    def kernel_image_count(self, form: Sequence[int]) -> int:
+        """|L(ker A)|: how many values the linear form L x = sum_j
+        form_j x_j, with integer coefficients (no e-part), takes on the
+        kernel.  So kernel_count // kernel_image_count(form) solutions
+        also have L x = 0, counted with no elimination of A plus L.
+
+        It reads the kernel's logs.  ker S is spanned by (q/g_i) e_i on
+        the pivots and by e_j past them, so L(ker A) = (L V)(ker S) is
+        the span of (L V)_i q/g_i and (L V)_j in Z/q, with L V the column
+        log replayed forward on L.  Over Z/m[e], L x = L x0 + e L x1
+        lifts to the rows [L, 0] and [0, L], whose span lies in
+        (Z/q)^2.  The count is a product over the prime powers q."""
+        if len(form) != self.mat.cols:
+            raise ShapeError("form length does not match column count")
+        row, pad = list(form), [0] * self.mat.cols
+        lifted = [row + pad, pad + row] if self._eps else [row]
+        count = 1
+        for q, _, _, col_ops, piv in self._local:
+            gens = [_replay_rows(col_ops, [x % q for x in r], q)
+                    for r in lifted]
+            for r in gens:
+                for i, (g, _) in enumerate(piv):
+                    r[i] = r[i] * (q // g) % q
+            count *= _span_count(gens, q)
+        return count
 
     def _integer_log(self) -> None:
         """Run the integer Smith elimination, once, for the first draw."""

@@ -34,12 +34,18 @@ unlogged, a randomized trial stops at its first failing square instead
 (see search_violation).
 
 Exhaustive mode walks complexes (windows anchored at degree 0 —
-traces are blind to shifts) and twists, one system per sequence, the
-sequences of one pair (K, M) sharing its connecting problem, and counts
-each sequence's triples in closed form, without visiting them (see
-ses._SesSystem).  Triples are visited one by one only for a log,
-whose sweep reads the systems admission built to charge them, and to
-find the first violation, on the first sequence with one.
+traces are blind to shifts) and twists, the twists of one pair (K, M)
+sharing its connecting problem Hom(M, K[1]), and counts triples in
+closed form, without visiting them (see ses._SesSystem.counts).  It
+counts one sequence per extension class: t and t + D(s) give sequences
+isomorphic through [[1, s], [0, 1]], so with equal counts, and the
+pair's problem keys each twist by its class (coset_key).  Only the
+first twist of a class in walk order is built, validated and counted;
+each later one adds that count.  Triples are visited one by one only
+for a log, which builds every sequence and whose sweep reads the
+systems admission built to charge them, and to find the first
+violation, on the first sequence with one, always the first of its
+class.  Admission charges sequences, not classes.
 """
 
 from __future__ import annotations
@@ -74,6 +80,9 @@ from .ses import (
 DEFAULT_CEILING = 10_000_000
 
 LogLine = Callable[[str], None]
+# one walked extension: its sub complex K, its pair's connecting problem
+# Hom(M, K[1]) and its twist M -> K[1]
+_Extension = tuple[PerfectComplex, NullHomotopyProblem, ChainMap]
 
 
 class CeilingExceededError(RuntimeError):
@@ -261,10 +270,11 @@ def _budget_error(ceiling: int, total: int) -> CeilingExceededError:
         f"(at least {total}); raise the ceiling or shrink the bounds")
 
 
-def _admitted_systems(cfg: SearchConfig, *, per_triple: bool
-                      ) -> Iterator[_SesSystem]:
+def _admitted_walk(cfg: SearchConfig, *, per_triple: bool
+                   ) -> Iterator[_Extension] | Iterator[_SesSystem]:
     """The walk of an exhaustive search, returned once its run is
-    measured against the ceiling from counts.  Every refusal of
+    measured against the ceiling from counts: its extensions, or
+    per_triple their systems, each built once.  Every refusal of
     exhaustive mode is raised here, before the sweep, at the first count
     that passes the ceiling:
       1. a lower bound on the complexes in range, with no factorisation:
@@ -300,14 +310,14 @@ def _admitted_systems(cfg: SearchConfig, *, per_triple: bool
     pairs = len(all_cs) ** 2
     if pairs > ceiling:
         raise _budget_error(ceiling, pairs)
+    walk: Iterator[_Extension] | Iterator[_SesSystem] = _walk(all_cs)
     if per_triple:
-        walk, charged = itertools.tee(_walk(all_cs))
+        walk, charged = itertools.tee(itertools.starmap(_system, walk))
         charges = (1 + s.u_space.count * s.v_space.count * s.w_space.count
                    for s in charged)
     else:
         # the sweep factors each twist space again, at 0.2% of its time;
         # holding Z/2 w3r2's 31,329 instead would keep 43 MiB
-        walk = _walk(all_cs)
         charges = (CocycleSpace(k, m).count for k in all_cs for m in all_cs)
     for total in itertools.accumulate(charges):
         if total > ceiling:
@@ -315,45 +325,60 @@ def _admitted_systems(cfg: SearchConfig, *, per_triple: bool
     return walk
 
 
-def _walk(all_cs: list[PerfectComplex]) -> Iterator[_SesSystem]:
-    """The system of every extension of one complex in `all_cs` by
-    another, in order, the sequences of one pair (K, M) sharing its
-    connecting problem Hom(M, K[1]), which `counts` reads for each.  Each
-    is valid by construction: a failing one is a bug, not a sequence to
-    skip."""
+def _walk(all_cs: list[PerfectComplex]) -> Iterator[_Extension]:
+    """Every extension of one complex in `all_cs` by another, in order, as
+    (K, conn_prob, twist): the twists of one pair (K, M) share its
+    connecting problem Hom(M, K[1]), built once before them."""
     for sub in all_cs:
         for quo in all_cs:
             conn_prob = NullHomotopyProblem(quo, sub.shift(1))
             for twist in CocycleSpace(sub, quo).iter_all():
-                ses = make_extension(sub, quo, twist)
-                check = validate_ses(ses)
-                if not check:
-                    raise RuntimeError(f"generated sequence fails "
-                                       f"validation: {check.message}; "
-                                       f"construction bug")
-                yield _SesSystem(ses, conn_prob)
+                yield sub, conn_prob, twist
+
+
+def _system(sub: PerfectComplex, conn_prob: NullHomotopyProblem,
+            twist: ChainMap) -> _SesSystem:
+    """The system of one walked extension, which reads its pair's
+    connecting problem.  It is valid by construction: a failing one is a
+    bug, not a sequence to skip."""
+    ses = make_extension(sub, conn_prob.source, twist)
+    check = validate_ses(ses)
+    if not check:
+        raise RuntimeError(f"generated sequence fails validation: "
+                           f"{check.message}; construction bug")
+    return _SesSystem(ses, conn_prob)
 
 
 def _search_exhaustive(cfg: SearchConfig,
                        log: Optional[LogLine]) -> SearchOutcome:
     # a log visits every triple one by one, so it is budgeted per triple
-    systems = _admitted_systems(cfg, per_triple=log is not None)
+    walk = _admitted_walk(cfg, per_triple=log is not None)
     if log is not None:
-        return _tally((c for s in systems for c in s.triples()), log)
+        return _tally((c for s in walk for c in s.triples()), log)
     examined = violations = 0
     first: Optional[Violation] = None
-    for system in systems:
-        ex, vi = system.counts()
-        examined += ex
-        violations += vi
-        if vi and first is None:
-            # the only triples visited: up to the first violation of the
-            # first sequence that has one
-            first = system.first_violation()
-            if first is None:
-                raise RuntimeError("kernel counts promised a violation "
-                                   "that the scan did not find; counting "
-                                   "bug")
+    for conn_prob, extensions in itertools.groupby(walk, lambda e: e[1]):
+        # keys are not canonical across solvers: one pair's at a time
+        classes: dict[tuple[int, ...], tuple[int, int]] = {}
+        for sub, _, twist in extensions:
+            key = conn_prob.coset_key(twist)
+            counts = classes.get(key)
+            if counts is None:
+                # the first twist of its class; t + D(s) gives a sequence
+                # isomorphic to t's, with the same counts
+                system = _system(sub, conn_prob, twist)
+                counts = classes[key] = system.counts()
+                if counts[1] and first is None:
+                    # the only triples visited: up to the first violation
+                    # of the first sequence that has one, which is the
+                    # first of its class
+                    first = system.first_violation()
+                    if first is None:
+                        raise RuntimeError("kernel counts promised a "
+                                           "violation that the scan did "
+                                           "not find; counting bug")
+            examined += counts[0]
+            violations += counts[1]
     return SearchOutcome(violations, first, examined)
 
 

@@ -21,11 +21,12 @@ One private system per sequence, `_SesSystem`, holds its boundary,
 square problems and endo spaces; it reports on triples for every search
 mode, draws the fillers of strict triples, and counts triples without
 visiting them: with one homotopy per square as an unknown, every
-condition on (u, v, w) is linear, so examined and additive triples are
-kernel counts of one Hom-complex system (see _SesSystem.counts).  For a
-sequence in block form, as make_extension builds them, the visible
-squares' differences are read off the middle endo's blocks, with no
-product through the inclusion or the projection.
+condition on (u, v, w) is linear, so examined triples are the kernel of
+one Hom-complex system, and additive ones the kernel of the trace
+defect on it, both read off one elimination (see _SesSystem.counts).
+For a sequence in block form, as make_extension builds them, the
+visible squares' differences are read off the middle endo's blocks,
+with no product through the inclusion or the projection.
 """
 
 from __future__ import annotations
@@ -476,17 +477,21 @@ class _SesSystem:
             v j - j u = D(h_L),  q v - w q = D(h_R),
             u[1] delta - delta w = D(h_C),
 
-        and the additive ones solve B plus the row tr v - tr u - tr w,
-        both written by `matrix` from these terms.  The homotopies of one
+        and the additive ones also have L = tr v - tr u - tr w = 0, the
+        row that `matrix` writes last.  B is eliminated once: the
+        additive solutions are the kernel of L on ker B, so there are
+        |ker B| / |L(ker B)| of them, and |L(ker B)| is read off B's own
+        logs (LinearSolver.kernel_image_count).  The homotopies of one
         triple form a coset of the three problems' homotopy cycles Z^-1,
-        so each kernel is exactly |Z^-1_L| |Z^-1_R| |Z^-1_C| times its
+        so each count is exactly |Z^-1_L| |Z^-1_R| |Z^-1_C| times its
         triple count.
         """
         fibre = prod(p.count for p in (self.left_prob, self.right_prob,
                                        self.conn_prob))
         full = self.matrix()
-        examined, additive = (LinearSolver(m).kernel_count
-                              for m in (full.top(full.rows - 1), full))
+        solver = LinearSolver(full.top(full.rows - 1))
+        examined = solver.kernel_count
+        additive = examined // solver.kernel_image_count(full.a[-1])
         if examined % fibre or additive % fibre:
             raise RuntimeError("kernel count is not a multiple of the "
                                "homotopy cycles; solver bug")

@@ -1,12 +1,23 @@
-"""Slow references for the Hom-complex systems: the same matrices written
-with ring-element arithmetic, as `Matrix` objects, and the integer lift
-that `LinearSolver` factors, read off a `Matrix` entry by entry.
+"""Slow references for the Hom-complex systems and the exhaustive sweep.
 
 `complexes._hom_matrix` and `_SesSystem.matrix` write their systems
-straight into integer rows; the tests compare them with these."""
+straight into integer rows; the tests compare them with the same
+matrices written with ring-element arithmetic, as `Matrix` objects, and
+with the integer lift that `LinearSolver` factors, read off a `Matrix`
+entry by entry.
+
+`_SesSystem.counts` eliminates B once, and the exhaustive sweep counts
+one sequence per extension class; the tests compare them with two
+kernel counts per sequence and with a sweep that builds and counts every
+sequence."""
+
+from math import prod
 
 from chaintrace.complexes import HomComplex, _d_terms, _hom_slots, _Term
-from chaintrace.linalg import Matrix, ShapeError
+from chaintrace.linalg import LinearSolver, Matrix, ShapeError
+from chaintrace.search import SearchOutcome, iter_all_complexes
+from chaintrace.ses import (CocycleSpace, _SesSystem, make_extension,
+                            validate_ses)
 
 
 def ring_hom_matrix(ring, layouts, block_rows):
@@ -94,3 +105,36 @@ def integer_lift(mat):
         lift = ([row + [0] * c for row in lift]
                 + [[x.b for x in row] + row0 for row, row0 in zip(rows, lift)])
     return lift
+
+
+def two_kernel_counts(system):
+    """(examined, violations) of `_SesSystem.counts` from two
+    eliminations: the kernel of B, and that of B plus its defect row."""
+    fibre = prod(p.count for p in (system.left_prob, system.right_prob,
+                                   system.conn_prob))
+    full = system.matrix()
+    examined, additive = (LinearSolver(m).kernel_count
+                          for m in (full.top(full.rows - 1), full))
+    return examined // fibre, (examined - additive) // fibre
+
+
+def per_sequence_search(cfg):
+    """The exhaustive search without a log, one sequence at a time: every
+    extension built, validated and counted by `two_kernel_counts`, and
+    the first violation scanned on the first sequence that has one."""
+    all_cs = list(iter_all_complexes(cfg.ring, max_window=cfg.max_window,
+                                     max_rank=cfg.max_rank))
+    examined = violations = 0
+    first = None
+    for sub in all_cs:
+        for quo in all_cs:
+            for twist in CocycleSpace(sub, quo).iter_all():
+                ses = make_extension(sub, quo, twist)
+                assert validate_ses(ses)
+                system = _SesSystem(ses)
+                ex, vi = two_kernel_counts(system)
+                examined += ex
+                violations += vi
+                if vi and first is None:
+                    first = system.first_violation()
+    return SearchOutcome(violations, first, examined)

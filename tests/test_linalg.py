@@ -748,6 +748,8 @@ def test_solver_shape_checks():
         solve(M(Z4, [[1, 2]]), [Z4.one(), Z4.one()])
     with pytest.raises(RingMismatchError):
         solve(M(Z4, [[1]]), [Z5.one()])
+    with pytest.raises(ShapeError):
+        LinearSolver(M(Z4, [[1, 2]])).kernel_image_count([1])
 
 
 def test_matrix_refusals_name_their_cause():
@@ -867,3 +869,8 @@ def test_counts_and_solves_finish_on_large_moduli(p, q):
         x = [ring.element(rng.randrange(p * q)) for _ in range(a.cols)]
         b = a.apply(x)
         assert a.apply(list(solve(a, b).witness)) == b
+    # the form p y on the kernel {(0, y)} takes q values; mod p*q its
+    # coefficient p is a pivot that splits the modulus
+    solver = LinearSolver(M(ring, [[1, 0]]))
+    assert solver.kernel_image_count([3, p]) == q == (
+        solver.kernel_count // kernel_count(M(ring, [[1, 0], [3, p]])))

@@ -12,7 +12,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaintrace import cli
@@ -31,12 +31,12 @@ from chaintrace.generate import (
     random_strict_triple,
 )
 from chaintrace.homotopy import NullHomotopyProblem, perturb
-from chaintrace.linalg import LinearSolver, Matrix
+from chaintrace.linalg import IntegerSystem, LinearSolver, Matrix
 from chaintrace.rings import RingSpec
 from chaintrace.search import (
     CeilingExceededError,
     SearchConfig,
-    _admitted_systems,
+    _admitted_walk,
     iter_all_complexes,
 )
 from chaintrace.ses import (
@@ -51,6 +51,7 @@ from chaintrace.ses import (
     validate_ses,
 )
 from chaintrace.textio import parse_document, ses_file
+from oracles import two_kernel_counts
 from test_complexes import brute_hom_cycles
 from test_homotopy import brute_null_homotopy_images
 from test_ses import change_middle_basis, trace_pairing, twist_map
@@ -251,6 +252,54 @@ def test_counts_are_invariant_under_duality():
     assert out_of_block and violating
 
 
+# -- one elimination of B against two kernel counts --------------------------
+
+ONE_ELIMINATION_RINGS = (RingSpec(4), RingSpec(6), RingSpec(9), RingSpec(12),
+                         RingSpec(2, True), RingSpec(3, True),
+                         RingSpec(4, True))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(ONE_ELIMINATION_RINGS), st.integers(0, 4),
+       st.integers(0, 5), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(RingSpec(4, True), 0, 3, False, 0)     # B with no rows
+@example(RingSpec(12), 3, 0, False, 0)          # B with no columns
+@example(RingSpec(9), 3, 4, True, 0)            # a zero defect row
+def test_form_on_the_kernel_counts_as_a_second_kernel(ring, rows, cols,
+                                                      zero_form, seed):
+    # |L(ker B)|, read off B's logs, is |ker B| / |ker [B; L]|.  Half the
+    # entries are zero and the rest random, so kernels are seldom trivial
+    rng = random.Random(seed)
+    m = ring.modulus
+
+    def entries(n):
+        return [rng.choice((0, rng.randrange(m))) for _ in range(n)]
+    b = IntegerSystem(ring, cols, [entries(cols) for _ in range(rows)],
+                      [entries(cols) for _ in range(rows)]
+                      if ring.has_epsilon else None)
+    form = [0] * cols if zero_form else entries(cols)
+    solver = LinearSolver(b)
+    image = solver.kernel_image_count(form)
+    assert image * LinearSolver(b.with_row(form)).kernel_count == (
+        solver.kernel_count)
+    assert image == 1 or not zero_form
+
+
+def test_one_elimination_counts_match_two_kernel_counts():
+    # _SesSystem.counts eliminates B once; eliminating B and B plus its
+    # defect row gives the same counts, violating sequences included
+    violating = 0
+    for ring in ONE_ELIMINATION_RINGS:
+        rng = random.Random(f"one elimination:{ring}")
+        for _ in range(15):
+            system = _SesSystem(random_extension(rng, ring, max_window=3,
+                                                 max_rank=2))
+            counts = system.counts()
+            assert counts == two_kernel_counts(system), ring
+            violating += bool(counts[1])
+    assert violating
+
+
 # -- chain-map arithmetic against its blocks ---------------------------------
 
 # every window below, shifted or not, lies well inside this range
@@ -324,7 +373,7 @@ def test_no_step_of_an_admitted_walk_passes_the_ceiling(ring, window, rank,
                            mode="exhaustive", ceiling=ceiling)
         with pytest.raises(CeilingExceededError,
                            match="complexes in range"):
-            _admitted_systems(cfg, per_triple=False)
+            _admitted_walk(cfg, per_triple=False)
         return
     # so the walk needs no check: each differential of each complex it
     # lists (as far as the listed-count check lets it) had at most

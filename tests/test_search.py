@@ -16,6 +16,7 @@ from dataclasses import replace
 import pytest
 
 import chaintrace.generate
+import chaintrace.linalg
 import chaintrace.search
 import chaintrace.ses as ses_module
 from chaintrace.complexes import (ChainMap, ChainMapSpace, Homotopy,
@@ -23,7 +24,7 @@ from chaintrace.complexes import (ChainMap, ChainMapSpace, Homotopy,
 from chaintrace.generate import (random_cocycle, random_complex,
                                  random_element, random_extension)
 from chaintrace.homotopy import NullHomotopyProblem, graded_trace, perturb
-from chaintrace.linalg import Matrix
+from chaintrace.linalg import IntegerSystem, Matrix
 from chaintrace.rings import RingSpec
 from chaintrace.search import (
     CeilingExceededError,
@@ -38,6 +39,7 @@ from chaintrace.search import (
     wrap_instance,
 )
 from chaintrace.ses import (
+    CocycleSpace,
     EndoTriple,
     SquareStatus,
     check_triple,
@@ -47,7 +49,7 @@ from chaintrace.ses import (
     _SesSystem,
 )
 from conftest import count_calls
-from oracles import integer_lift, ring_ses_matrix
+from oracles import integer_lift, per_sequence_search, ring_ses_matrix
 from test_ses import twist_map
 
 Z2 = RingSpec(2)
@@ -426,16 +428,81 @@ def test_default_ceiling_admits_a_large_closed_form_count():
     assert search_violation(cfg) == SearchOutcome(0, None, 2_177_345_029)
 
 
+# the bounds on which the class sweep is checked against the walk over
+# every sequence: reduced and square-zero, prime and composite, Z/m[e]
+CLASS_BOUNDS = [(Z2, 2, 1), (Z2, 1, 2), (Z3, 2, 1), (Z4, 2, 1),
+                (RingSpec(6), 2, 1), (Z3E, 2, 1)]
+
+
+@pytest.mark.parametrize("ring, window, rank", CLASS_BOUNDS)
+def test_class_sweep_matches_the_per_sequence_walk(ring, window, rank):
+    # one sequence counted per extension class gives the outcome of every
+    # sequence counted by two kernels, first violation included
+    cfg = SearchConfig(ring, max_window=window, max_rank=rank,
+                       mode="exhaustive")
+    assert search_violation(cfg) == per_sequence_search(cfg)
+
+
+@pytest.mark.parametrize("ring, window, rank", CLASS_BOUNDS)
+def test_every_twist_counts_as_its_class(ring, window, rank):
+    # t and t + D(s) give isomorphic sequences: every twist with the class
+    # key of an earlier one of its pair has that one's counts
+    cs = list(iter_all_complexes(ring, max_window=window, max_rank=rank))
+    for sub in cs:
+        for quo in cs:
+            conn_prob = NullHomotopyProblem(quo, sub.shift(1))
+            classes = {}
+            for twist in CocycleSpace(sub, quo).iter_all():
+                counts = _SesSystem(make_extension(sub, quo, twist),
+                                    conn_prob).counts()
+                key = conn_prob.coset_key(twist)
+                assert classes.setdefault(key, counts) == counts
+
+
+def test_class_sweep_eliminates_b_once_per_class(monkeypatch):
+    # Z/12 w2r1: each counted class builds one solver for its B, the only
+    # IntegerSystem that ses hands a solver (validate_ses hands it
+    # matrices), and so none for B plus its defect row.  That solver
+    # eliminates B once mod each of 4 and 3: over Z/m the lift it passes
+    # to _local_log is B's own list of rows
+    counted = count_calls(monkeypatch, _SesSystem, "counts")
+    solvers = count_calls(monkeypatch, ses_module, "LinearSolver")
+    eliminated = count_calls(monkeypatch, chaintrace.linalg, "_local_log")
+    cfg = SearchConfig(RingSpec(12), max_window=2, max_rank=1,
+                       mode="exhaustive")
+    assert search_violation(cfg).violations_found == 564_910_848
+    bs = [mat for (mat,) in solvers if isinstance(mat, IntegerSystem)]
+    assert len(bs) == len(counted) > 1
+    for b in bs:
+        assert sum(args[0] is b.a for args in eliminated) == 2
+
+
+def test_class_sweep_pins():
+    # Z/2 w2r2: 7,981 sequences in 1,357 classes, none violating
+    cfg = SearchConfig(Z2, max_window=2, max_rank=2, mode="exhaustive")
+    assert search_violation(cfg) == SearchOutcome(0, None, 70_093_174_173)
+    # Z/p^2 and Z/p[e] count alike at these bounds, though their first
+    # violations differ
+    for (a, b), window, rank, totals in (
+            ((Z4, Z2E), 1, 2, (16_810_569, 0)),
+            ((Z4, Z2E), 2, 1, (296_905, 29_440)),
+            ((RingSpec(9), Z3E), 2, 1, (441_340_993, 53_327_808))):
+        for ring in (a, b):
+            out = search_violation(SearchConfig(
+                ring, max_window=window, max_rank=rank, mode="exhaustive"))
+            assert (out.instances_examined, out.violations_found) == totals
+
+
 def test_closed_form_walks_the_extensions_once(monkeypatch):
-    # Z/3 w2r1: 5 complexes, 49 sequences, no violation.  The budget is
-    # taken from twist counts, so each extension is built once, for the
-    # sweep, and no endo space is factored at all, neither by admission
-    # nor by a sequence's system
+    # Z/3 w2r1: 5 complexes, 49 sequences in 29 extension classes, no
+    # violation.  The budget is taken from twist counts, and the sweep
+    # builds the first extension of each class once, so no endo space is
+    # factored at all, neither by admission nor by a sequence's system
     extensions = count_calls(monkeypatch, chaintrace.search, "make_extension")
     spaces = count_inits(monkeypatch, ChainMapSpace)
     cfg = SearchConfig(Z3, max_window=2, max_rank=1, mode="exhaustive")
     assert search_violation(cfg) == SearchOutcome(0, None, 20743)
-    assert len(extensions) == 49 and spaces == []
+    assert len(extensions) == 29 and spaces == []
 
 
 def test_logged_sweep_reads_the_systems_admission_charged(monkeypatch):
@@ -472,10 +539,10 @@ def count_inits(monkeypatch, cls):
 
 
 def test_each_boundary_and_connecting_problem_is_built_once(monkeypatch):
-    # Z/3 w2r1 again: make_extension builds and checks each of the 49
-    # boundaries, which the sweep reuses, and the sequences of one pair
-    # (K, M) of the 5 complexes share its connecting problem Hom(M, K[1]),
-    # which the walk builds
+    # Z/3 w2r1 again: make_extension builds and checks the boundary of the
+    # first sequence of each of the 29 extension classes, which the sweep
+    # reuses, and the sequences of one pair (K, M) of the 5 complexes
+    # share its connecting problem Hom(M, K[1]), which the walk builds
     boundaries = count_calls(monkeypatch, ses_module, "_boundary")
     problems = count_calls(monkeypatch, ses_module, "NullHomotopyProblem")
     walked = count_calls(monkeypatch, chaintrace.search,
@@ -483,16 +550,16 @@ def test_each_boundary_and_connecting_problem_is_built_once(monkeypatch):
     cfg = SearchConfig(Z3, max_window=2, max_rank=1, mode="exhaustive")
     assert search_violation(cfg) == SearchOutcome(0, None, 20743)
     problems += walked
-    assert len(boundaries) == 49
+    assert len(boundaries) == 29
     # K[1] starts at degree -1 unless K = 0, so no left or right problem
     # has the (source, target) of a connecting problem with K nonzero
     cs = list(iter_all_complexes(Z3, max_window=2, max_rank=1))
     keys = {(m, k.shift(1)) for k in cs for m in cs if any(k.ranks)}
     connecting = [args for args in problems if args in keys]
     assert len(connecting) == len(set(connecting)) == len(keys) == 20
-    # the rest: a left and a right problem per sequence, and the
-    # connecting problems of the 5 pairs with K = 0
-    assert len(problems) == 2 * 49 + 25
+    # the rest: a left and a right problem per class, and the connecting
+    # problems of the 5 pairs with K = 0
+    assert len(problems) == 2 * 29 + 25
     # a randomized trial builds one sequence and its one boundary
     boundaries.clear()
     search_violation(SearchConfig(Z4, max_window=3, max_rank=2, trials=60))
